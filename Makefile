@@ -17,19 +17,17 @@ test:
 
 # Crash-injection torture: recover at every WAL append point across the
 # scenario matrix and fail on any recovery-invariant violation.
-# Recovery runs through the partitioned replay path (4 worker domains),
-# which must be observationally identical to serial replay.
 crashtest:
-	dune exec bin/crashtest.exe -- --replay-workers 4
+	dune exec bin/crashtest.exe
 
 # Storage-fault torture with a fixed seed: byte-granularity crash cuts,
 # bit-flip corruption sweeps, batch-prefix cuts inside group-commit
 # batches, crash cuts inside a checkpoint-truncation journal (must roll
 # back or redo atomically), and a fault-injected storage run that must
 # match the fault-free one (torn writes / transient errors absorbed by
-# the WAL retry loop).  Also through the 4-worker parallel replay path.
+# the WAL retry loop).
 faulttest:
-	dune exec bin/crashtest.exe -- --fault --seed 11 --group-commit 4 --replay-workers 4
+	dune exec bin/crashtest.exe -- --fault --seed 11 --group-commit 4
 
 # Cross-shard 2PC torture: drive a 4-shard engine (30% and 100%
 # cross-shard mixes), then crash it at every forced-frontier state and
@@ -38,8 +36,8 @@ faulttest:
 # acknowledged after the forced decision may be lost.  Runs clean and
 # with injected storage faults.
 shardtest:
-	dune exec bin/crashtest.exe -- --shards 4 --replay-workers 2
-	dune exec bin/crashtest.exe -- --shards 4 --fault --seed 11 -n 10 --replay-workers 2
+	dune exec bin/crashtest.exe -- --shards 4
+	dune exec bin/crashtest.exe -- --shards 4 --fault --seed 11 -n 10
 
 # Threaded group-commit stress with a pinned seed: OS threads against
 # the durable engine over slow storage; fails if any transaction is
@@ -75,9 +73,8 @@ baseline:
 
 # Compare a fresh quick run against the checked-in baseline and GATE on
 # the serial restart and commit-rate series: a >25% move against a gated
-# series' direction fails the build.  Everything else — including the
-# multi-worker restart walls, which swing ~30% between identical runs at
-# quick sizes — is printed as advisory only.  If a regression is
+# series' direction fails the build.  Everything else is printed as
+# advisory only.  If a regression is
 # intentional, rerun with the documented escape hatch and refresh the
 # baseline in the same change:
 #   make benchdiff BENCHDIFF_FLAGS=--allow-regression

@@ -703,7 +703,7 @@ let sharded_names n =
   let i = ref 0 in
   while !remaining > 0 do
     let name = Fmt.str "BA%d" !i in
-    let s = Tm_engine.Wal.partition_of_object ~workers:n name in
+    let s = Tm_engine.Sharded_database.home_shard ~shards:n name in
     if found.(s) = None then begin
       found.(s) <- Some name;
       decr remaining
@@ -791,9 +791,8 @@ let rate n t = float_of_int n /. Float.max t 1e-9
 
 (* A deposit-only log big enough that decode/replay rates are
    meaningful: 3 records per transaction spread round-robin over
-   [recovery_objects] accounts (so partitioned replay has partitions to
-   fill), one transaction in a hundred left in flight so loser
-   resolution is exercised too.  Quick mode (CI) is ~10k transactions
+   [recovery_objects] accounts, one transaction in a hundred left in
+   flight so loser resolution is exercised too.  Quick mode (CI) is ~10k transactions
    (~1 MB encoded); full is ~50k (~5 MB). *)
 let recovery_objects = 16
 
@@ -809,8 +808,6 @@ let recovery_log ~txns =
   done;
   let recs = Wal.records wal in
   (recs, Wal.Codec.encode_all recs)
-
-let recovery_worker_counts = [ 1; 2; 4; 8 ]
 
 let recovery_series ~quick =
   let txns = if quick then 10_000 else 50_000 in
@@ -829,26 +826,18 @@ let recovery_series ~quick =
           ~spec:(Spec.rename BA.spec (Fmt.str "BA%d" i))
           ~conflict:BA.nrbc_conflict ~recovery:Tm_engine.Recovery.UIP ())
   in
-  (* End-to-end restart (storage read + decode + plan + replay) at each
-     worker count; workers = 1 is the serial baseline the parallel rates
-     are judged against. *)
-  let restart workers =
-    let (), t =
-      timed (fun () ->
-          match Disk_wal.load ~workers (Storage.of_string bytes) with
-          | Error _ -> failwith "bench: generated log failed to load"
-          | Ok dw -> (
-              match
-                Tm_engine.Durable_database.recover ~workers
-                  ~wal:(Disk_wal.wal dw) ~rebuild ()
-              with
-              | Ok _ -> ()
-              | Error _ -> failwith "bench: generated log failed to recover"))
-    in
-    t
+  (* End-to-end restart: storage read + decode + replay. *)
+  let (), t_restart =
+    timed (fun () ->
+        match Disk_wal.load (Storage.of_string bytes) with
+        | Error _ -> failwith "bench: generated log failed to load"
+        | Ok dw -> (
+            match
+              Tm_engine.Durable_database.recover ~wal:(Disk_wal.wal dw) ~rebuild ()
+            with
+            | Ok _ -> ()
+            | Error _ -> failwith "bench: generated log failed to recover"))
   in
-  let restarts = List.map (fun w -> (w, restart w)) recovery_worker_counts in
-  let t_restart = List.assoc 1 restarts in
   [
     series "recovery.log_bytes" (float_of_int n_bytes) "bytes" false;
     series "recovery.decode.records_per_sec" (rate n_records t_decode)
@@ -863,17 +852,6 @@ let recovery_series ~quick =
       "records/s" true;
     series "recovery.restart.seconds" t_restart "s" false;
   ]
-  @ List.concat_map
-      (fun (w, t) ->
-        if w = 1 then []
-        else
-          [
-            series
-              (Fmt.str "recovery.restart.w%d.records_per_sec" w)
-              (rate n_records t) "records/s" true;
-            series (Fmt.str "recovery.restart.w%d.seconds" w) t "s" false;
-          ])
-      restarts
 
 (* The sharded commit-rate matrix as comparable scalars: shard counts
    1/2/4/8, disjoint keys (fast path) and 10% cross-shard (2PC). *)

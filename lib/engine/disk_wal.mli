@@ -43,10 +43,7 @@ val create : ?retry:retry -> ?shard:int -> Storage.t -> t
     interior corruption is returned as [Error] with its byte offset —
     never skipped.  With [profile], the storage read is charged to the
     restart profiler's storage-scan phase and decoding to the
-    frame-decode / checksum-verify phases.  [workers] (default 1) is
-    forwarded to {!Wal.Codec.decode_all}: a fully intact image large
-    enough to amortise the spawns is decoded by that many domains, with
-    automatic fallback to the serial decoder on any damage.
+    frame-decode / checksum-verify phases.
 
     An interrupted {!checkpoint_truncate} is resolved before decoding:
     a {e complete} compaction journal (intent frame + verified image) is
@@ -62,7 +59,6 @@ val load :
   ?retry:retry ->
   ?shard:int ->
   ?profile:Tm_obs.Recovery_profile.t ->
-  ?workers:int ->
   Storage.t ->
   (t, Wal.Codec.corruption) result
 

@@ -158,167 +158,72 @@ let abort t tid =
   end;
   Database.abort t.db tid
 
-(* One partition's replay outcome.  [po_error] carries the position (in
-   [rebuild]'s object order) of the first failing object so the
-   coordinator can report the same error a serial replay would have. *)
-type partition_outcome = {
-  po_objects : int;
-  po_ops : int;  (* committed operations actually replayed *)
-  po_wall : float;
-  po_error : (int * Recovery.error) option;
-}
-
-let recover ?trace ?profile ?(workers = 1) ~wal ~rebuild () =
+let recover ?trace ?profile ~wal ~rebuild () =
   let module Profile = Tm_obs.Recovery_profile in
-  if workers < 1 then
-    invalid_arg "Durable_database.recover: workers must be >= 1";
-  let recs = Wal.records wal in
-  (* One bucketing pass replaces the old replay + per-object filter +
-     max_tid rescan: committed operations land pre-grouped by object (so
-     restoring is O(committed), not O(objects x committed)), the loser
-     set arrives sharded, and the tid high-water mark rides along. *)
-  let plan = Wal.plan ?profile ~workers recs in
-  let losers = Wal.plan_losers plan in
-  (* Post-crash transactions must allocate above every tid the log still
-     mentions: a reused tid would merge a new transaction's records with
-     a pre-crash loser's on the next replay. *)
-  let first_tid = plan.Wal.plan_next_tid in
+  (* One fold yields the committed operations, the loser set and the tid
+     high-water mark; post-crash transactions allocate above that mark,
+     since a reused tid would merge a new transaction's records with a
+     pre-crash loser's on the next replay. *)
+  let { Wal.committed; losers; next_tid } =
+    Wal.replay_outcome ?profile (Wal.records wal)
+  in
+  (* Group by object in one pass over the committed operations (so
+     restoring is O(committed), not O(objects x committed)).  Walking
+     the list newest first leaves each object's list in commit order. *)
+  let by_obj = Hashtbl.create 64 in
+  List.iter
+    (fun (op : Op.t) ->
+      Hashtbl.replace by_obj op.Op.obj
+        (op :: Option.value (Hashtbl.find_opt by_obj op.Op.obj) ~default:[]))
+    (List.rev committed);
   let objs = rebuild () in
-  (* Assign each rebuilt object to its partition, keeping [objs] order
-     within a partition (and remembering global order for error
-     selection).  Objects the log never mentions replay empty. *)
-  let entries = Array.make workers [] in
-  List.iteri
-    (fun i o ->
-      let name = Atomic_object.name o in
-      let p = Wal.partition_of_object ~workers name in
-      let ops =
-        match
-          List.assoc_opt name plan.Wal.partitions.(p).Wal.part_objects
-        with
-        | Some ops -> ops
-        | None -> []
-      in
-      entries.(p) <- (i, o, name, ops) :: entries.(p))
-    objs;
-  Array.iteri (fun p l -> entries.(p) <- List.rev l) entries;
-  (* Replay one partition: restore its objects in order, stopping at the
-     first failure (as the serial loop did).  [prof] is [Some] only on
-     the serial path — a profile is never shared across domains. *)
-  let replay_partition prof p =
-    let started =
-      match prof with
-      | Some pr -> Profile.now pr
-      | None -> Unix.gettimeofday ()
-    in
-    let elapsed () =
-      (match prof with
-      | Some pr -> Profile.now pr
-      | None -> Unix.gettimeofday ())
-      -. started
-    in
-    let rec go ops_done = function
-      | [] ->
+  (* Committed work of an object [rebuild] does not supply would be
+     silently lost: refuse, naming the alphabetically first such
+     object. *)
+  let supplied = Hashtbl.create 64 in
+  List.iter (fun o -> Hashtbl.replace supplied (Atomic_object.name o) ()) objs;
+  let unsupplied =
+    Hashtbl.fold
+      (fun obj ops acc -> if Hashtbl.mem supplied obj then acc else (obj, ops) :: acc)
+      by_obj []
+    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+  in
+  let restore o =
+    let name = Atomic_object.name o in
+    let ops = Option.value (Hashtbl.find_opt by_obj name) ~default:[] in
+    match profile with
+    | None -> Atomic_object.restore o ops
+    | Some p ->
+        Profile.note_object_replay p ~obj:name (List.length ops);
+        Profile.time p Profile.Object_replay (fun () -> Atomic_object.restore o ops)
+  in
+  (* Restore in [rebuild] order, stopping at the first failure. *)
+  let rec restore_all = function
+    | [] -> Ok ()
+    | o :: rest -> Result.bind (restore o) (fun () -> restore_all rest)
+  in
+  let restored =
+    match unsupplied with
+    | (obj, ops) :: _ ->
+        Error
           {
-            po_objects = List.length entries.(p);
-            po_ops = ops_done;
-            po_wall = elapsed ();
-            po_error = None;
+            Recovery.obj;
+            reason =
+              Fmt.str
+                "the log holds %d committed operations of it, but rebuild \
+                 supplied no such object"
+                (List.length ops);
           }
-      | (i, o, name, ops) :: rest -> (
-          let restore () = Atomic_object.restore o ops in
-          let result =
-            match prof with
-            | None -> restore ()
-            | Some pr ->
-                Profile.note_object_replay pr ~obj:name (List.length ops);
-                Profile.time pr Profile.Object_replay restore
-          in
-          match result with
-          | Ok () -> go (ops_done + List.length ops) rest
-          | Error e ->
-              {
-                po_objects = List.length entries.(p);
-                po_ops = ops_done;
-                po_wall = elapsed ();
-                po_error = Some (i, e);
-              })
-    in
-    go 0 entries.(p)
+    | [] -> restore_all objs
   in
-  let outcomes =
-    if workers = 1 then [| replay_partition profile 0 |]
-    else begin
-      (* The worker pool: one domain per partition, merged at the join
-         barrier.  Partitions share no mutable state — each object, its
-         operation list and the restore path are confined to one domain
-         — so the only synchronisation is the join itself. *)
-      let run () =
-        let domains =
-          Array.init workers (fun p ->
-              Domain.spawn (fun () -> replay_partition None p))
-        in
-        Array.map Domain.join domains
-      in
-      let outcomes =
-        match profile with
-        | None -> run ()
-        | Some pr -> Profile.time pr Profile.Object_replay run
-      in
-      (* Per-object accounting happens after the barrier (the profile is
-         single-threaded by design). *)
-      (match profile with
-      | None -> ()
-      | Some pr ->
-          Array.iter
-            (List.iter (fun (_, _, name, ops) ->
-                 Profile.note_object_replay pr ~obj:name (List.length ops)))
-            entries);
-      outcomes
-    end
-  in
-  (match profile with
-  | None -> ()
-  | Some pr ->
-      Profile.note_workers pr workers;
-      Array.iteri
-        (fun p o ->
-          Profile.note_partition pr ~index:p ~objects:o.po_objects
-            ~ops:o.po_ops ~wall:o.po_wall)
-        outcomes);
-  (* Report the failure of the earliest object in [rebuild] order, like
-     the serial loop — whichever partition it was replayed in. *)
-  let failed =
-    Array.fold_left
-      (fun acc o ->
-        match (o.po_error, acc) with
-        | None, acc -> acc
-        | (Some _ as e), None -> e
-        | Some (i, _), Some (j, _) when i < j -> o.po_error
-        | Some _, acc -> acc)
-      None outcomes
-  in
-  match failed with
-  | Some (_, e) -> Error e
-  | None ->
-      (* The LSN-bounded contract: each partition replayed exactly the
-         operations the plan assigned it from [plan_from, plan_to] — no
-         more, no less — so the per-partition counts must sum back to
-         the operations assigned to the rebuilt objects. *)
-      let assigned =
-        Array.fold_left
-          (fun n l ->
-            List.fold_left (fun n (_, _, _, ops) -> n + List.length ops) n l)
-          0 entries
-      in
-      let replayed_by_partition =
-        Array.fold_left (fun n o -> n + o.po_ops) 0 outcomes
-      in
-      assert (assigned = replayed_by_partition);
-      let t = create ~first_tid ~wal objs in
+  match restored with
+  | Error e -> Error e
+  | Ok () ->
+      let replayed = List.length committed in
+      let t = create ~first_tid:next_tid ~wal objs in
       (match trace with None -> () | Some tr -> Database.set_trace t.db tr);
       let reg = Database.metrics t.db in
-      Metrics.Counter.incr ~by:plan.Wal.plan_ops
+      Metrics.Counter.incr ~by:replayed
         (Metrics.counter reg "tm_recovery_replayed_ops_total");
       Metrics.Counter.incr ~by:(Tid.Set.cardinal losers)
         (Metrics.counter reg "tm_recovery_loser_txns_total");
@@ -335,6 +240,5 @@ let recover ?trace ?profile ?(workers = 1) ~wal ~rebuild () =
               emit_system t.db (Trace.Recovery_phase { phase; wall_us; items }))
             (Profile.spans p));
       emit_system t.db
-        (Trace.Crash_recover
-           { replayed = plan.Wal.plan_ops; losers = Tid.Set.cardinal losers });
+        (Trace.Crash_recover { replayed; losers = Tid.Set.cardinal losers });
       Ok (t, losers)

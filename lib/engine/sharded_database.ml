@@ -69,13 +69,17 @@ let check_shard_count n =
   if n > max_shards then
     invalid_arg (Fmt.str "Sharded_database: %d shards exceed the frame header's %d" n max_shards)
 
+(* The router.  Existing sharded logs were written under this exact
+   hash, so changing it would re-home their objects. *)
+let home_shard ~shards:n name = Hashtbl.hash name mod n
+
 (* Route the object list to per-shard lists, preserving input order
    within each shard — the same assignment {!recover} must reproduce. *)
 let partition_objects ~shards:n objs =
   let parts = Array.make n [] in
   List.iter
     (fun o ->
-      let s = Wal.partition_of_object ~workers:n (Atomic_object.name o) in
+      let s = home_shard ~shards:n (Atomic_object.name o) in
       parts.(s) <- o :: parts.(s))
     objs;
   Array.map List.rev parts
@@ -92,8 +96,7 @@ let create ?first_tid ~wals objs =
 let shard_count t = Array.length t.shards
 let shards t = t.shards
 
-let shard_of_object t name =
-  Wal.partition_of_object ~workers:(Array.length t.shards) name
+let shard_of_object t name = home_shard ~shards:(Array.length t.shards) name
 
 let find_object t name =
   Database.find_object (Shard.database t.shards.(shard_of_object t name)) name
@@ -316,7 +319,7 @@ let metrics t =
     t.shards;
   out
 
-let recover ?workers ?audit ~wals ~rebuild () =
+let recover ?audit ~wals ~rebuild () =
   let n = Array.length wals in
   check_shard_count n;
   (* Complete the interrupted protocol in the logs themselves: one
@@ -344,7 +347,7 @@ let recover ?workers ?audit ~wals ~rebuild () =
     if s = n then Ok (List.rev acc)
     else
       match
-        Durable_database.recover ?workers ~wal:wals.(s)
+        Durable_database.recover ~wal:wals.(s)
           ~rebuild:(fun () -> parts.(s))
           ()
       with

@@ -5,9 +5,8 @@
     lock tables and atomic objects, its own WAL (stamped with the
     shard's id in every v2 frame when disk-backed — see {!Disk_wal}),
     and its own group-commit flusher.  A router hashes object name to
-    home shard ({!Wal.partition_of_object}, the same stable hash the
-    parallel-recovery partitioner uses), so a transaction that touches
-    one shard commits through the existing fast path —
+    home shard ({!home_shard}), so a transaction that touches one shard
+    commits through the existing fast path —
     {!Durable_database.try_commit_nowait} under that shard's mutex, the
     durability wait outside it — with {e zero} cross-shard
     synchronisation beyond a brief global-table touch.
@@ -46,9 +45,8 @@
     shard's log (commit iff decision evidence survives anywhere;
     otherwise presumed abort) and forces it — completing the
     interrupted protocol {e in the log}, so the subsequent per-shard
-    {!Durable_database.recover} (with its parallel partitioned replay)
-    needs no 2PC awareness at all, and a second crash during recovery
-    re-resolves to the same outcomes.
+    {!Durable_database.recover} needs no 2PC awareness at all, and a
+    second crash during recovery re-resolves to the same outcomes.
 
     {2 Caveats}
 
@@ -72,8 +70,14 @@ val create : ?first_tid:int -> wals:Wal.t array -> Atomic_object.t list -> t
 
 val shard_count : t -> int
 
+(** [home_shard ~shards name] — the shard an object named [name] lives
+    on in an engine of [shards] shards: [Hashtbl.hash name mod shards].
+    The hash is part of the on-disk contract: every sharded log routes
+    its objects by it. *)
+val home_shard : shards:int -> string -> int
+
 (** The home shard of an object name:
-    [Wal.partition_of_object ~workers:(shard_count t) name]. *)
+    [home_shard ~shards:(shard_count t) name]. *)
 val shard_of_object : t -> string -> int
 
 (** The shards themselves, indexed by shard id — for tests, torture
@@ -140,11 +144,10 @@ val set_trace : t -> Tm_obs.Trace.t -> unit
     [shard] label. *)
 val metrics : t -> Tm_obs.Metrics.t
 
-(** [recover ?workers ~wals ~rebuild ()] — crash recovery across all
-    shards: resolve in-doubt transactions (see above), then run
-    {!Durable_database.recover} per shard with [workers] replay
-    partitions each, [rebuild]'s objects routed to shards exactly as
-    {!create} routes them.  The global allocator restarts above every
+(** [recover ~wals ~rebuild ()] — crash recovery across all shards:
+    resolve in-doubt transactions (see above), then run
+    {!Durable_database.recover} per shard, [rebuild]'s objects routed to
+    shards exactly as {!create} routes them.  The global allocator restarts above every
     shard's tid high-water mark.  Returns the engine and the union of
     the shards' loser sets (a transaction resolved by presumed abort is
     {e finished}, not a loser — recovery completed its protocol), or
@@ -157,7 +160,6 @@ val metrics : t -> Tm_obs.Metrics.t
     [tm-2pc] artifact.  The same events drive the recovered engine's
     [tm_2pc_resolved_total{evidence,outcome}] counters. *)
 val recover :
-  ?workers:int ->
   ?audit:(Two_phase.resolution_event list -> unit) ->
   wals:Wal.t array ->
   rebuild:(unit -> Atomic_object.t list) ->

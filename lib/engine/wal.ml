@@ -285,11 +285,13 @@ let truncate_to_checkpoint t =
       end;
       dropped
 
-(* One pass shared by [replay], [fuzzy_checkpoint] and [max_tid]: fold the
-   log into committed operations (commit order), the per-transaction logs
-   of unfinished transactions, and the tid high-water mark.  A checkpoint
-   record summarises its whole prefix, so scanning restarts from its
-   snapshot (only the high-water mark is carried monotonically through). *)
+(* The one log fold, shared by [replay_outcome] (hence [replay] and
+   crash recovery), [fuzzy_checkpoint] and [max_tid]: fold exactly the
+   records it is given into committed operations (commit order), the
+   per-transaction logs of unfinished transactions, and the tid
+   high-water mark.  A checkpoint record summarises its whole prefix, so
+   scanning restarts from its snapshot (only the high-water mark is
+   carried monotonically through). *)
 type scan = {
   mutable committed_rev : Op.t list;
   ops_of : (Tid.t, Op.t list) Hashtbl.t;  (* newest first; unfinished txns *)
@@ -379,7 +381,13 @@ let scan ?profile recs =
     recs;
   st
 
-let replay ?profile recs =
+type outcome = {
+  committed : Op.t list;
+  losers : Tid.Set.t;
+  next_tid : int;
+}
+
+let replay_outcome ?profile recs =
   let st =
     match profile with
     | None -> scan recs
@@ -404,177 +412,15 @@ let replay ?profile recs =
         Profile.note_losers p (Tid.Set.cardinal losers);
         losers
   in
-  (List.rev st.committed_rev, losers)
+  { committed = List.rev st.committed_rev; losers; next_tid = st.hwm }
+
+let replay ?profile recs =
+  let o = replay_outcome ?profile recs in
+  (o.committed, o.losers)
 
 let max_tid recs =
   let st = scan recs in
   if st.hwm = 0 then None else Some (Tid.of_int (st.hwm - 1))
-
-(* ------------------------------------------------------------------ *)
-(* Partitioned replay plan.                                            *)
-
-type partition = {
-  part_index : int;
-  part_objects : (string * Op.t list) list;
-  part_ops : int;
-  part_losers : Tid.Set.t;
-}
-
-type plan = {
-  partitions : partition array;
-  plan_ops : int;
-  plan_records : int;
-  plan_from : int;
-  plan_to : int;
-  plan_next_tid : int;
-}
-
-let partition_of_object ~workers name = Hashtbl.hash name mod workers
-let partition_of_tid ~workers tid = Tid.to_int tid land max_int mod workers
-
-let plan ?profile ~workers recs =
-  if workers < 1 then invalid_arg "Wal.plan: workers must be >= 1";
-  (* One bucketing pass: the same fold as [scan], but committed
-     operations land directly in per-object buckets (commit order,
-     newest first) instead of one global list — killing the
-     per-object filter recovery used to run over the whole committed
-     list — and the seen/finished tables are sharded by
-     [partition_of_tid] so each partition owns its slice of the loser
-     set.  [plan_from]/[plan_to] bound the records the plan covers:
-     replay semantically starts at the latest checkpoint (its snapshot
-     stands for everything before it) and ends at the last record. *)
-  let by_obj : (string, Op.t list ref) Hashtbl.t = Hashtbl.create 64 in
-  let ops_of : (Tid.t, Op.t list) Hashtbl.t = Hashtbl.create 16 in
-  let seen = Array.init workers (fun _ -> Hashtbl.create 16) in
-  let finished = Array.init workers (fun _ -> Hashtbl.create 16) in
-  let hwm = ref 0 in
-  let total_ops = ref 0 in
-  let from = ref 1 in
-  let n_records = List.length recs in
-  let shard tid = partition_of_tid ~workers tid in
-  let note tid = hwm := max !hwm (Tid.to_int tid + 1) in
-  let bucket (op : Op.t) =
-    incr total_ops;
-    match Hashtbl.find_opt by_obj op.Op.obj with
-    | Some r -> r := op :: !r
-    | None -> Hashtbl.add by_obj op.Op.obj (ref [ op ])
-  in
-  let step pos r =
-    match r with
-    | Begin tid ->
-        note tid;
-        Hashtbl.replace seen.(shard tid) tid ()
-    | Operation (tid, op) ->
-        note tid;
-        Hashtbl.replace seen.(shard tid) tid ();
-        Hashtbl.replace ops_of tid
-          (op :: Option.value (Hashtbl.find_opt ops_of tid) ~default:[])
-    | Commit tid ->
-        note tid;
-        List.iter bucket
-          (List.rev (Option.value (Hashtbl.find_opt ops_of tid) ~default:[]));
-        Hashtbl.remove ops_of tid;
-        Hashtbl.replace finished.(shard tid) tid ()
-    | Abort tid ->
-        note tid;
-        Hashtbl.remove ops_of tid;
-        Hashtbl.replace finished.(shard tid) tid ()
-    | Truncate_intent _ -> ()
-    | Prepare tid ->
-        (* Same presumed-abort reading as [scan]: prepared-but-undecided
-           is a loser until a resolution record says otherwise. *)
-        note tid;
-        Hashtbl.replace seen.(shard tid) tid ()
-    | Decision { tid; commit = _ } -> note tid
-    | Checkpoint cp ->
-        let seed () =
-          from := pos;
-          Hashtbl.reset by_obj;
-          total_ops := 0;
-          List.iter bucket cp.committed;
-          Hashtbl.reset ops_of;
-          Array.iter Hashtbl.reset seen;
-          Array.iter Hashtbl.reset finished;
-          List.iter
-            (fun (tid, ops) ->
-              note tid;
-              Hashtbl.replace seen.(shard tid) tid ();
-              if ops <> [] then Hashtbl.replace ops_of tid (List.rev ops))
-            cp.live;
-          hwm := max !hwm cp.next_tid
-        in
-        (match profile with
-        | None -> seed ()
-        | Some p ->
-            Profile.note_checkpoint_seed p ~ops:(List.length cp.committed);
-            Profile.time p Profile.Checkpoint_seed seed)
-  in
-  let build_objects () =
-    (* Finalise the buckets into partitions.  Hashtbl iteration order is
-       unspecified, so each partition's object list is sorted by name:
-       the plan is a pure function of the records. *)
-    let objs = Array.make workers [] in
-    let ops = Array.make workers 0 in
-    Hashtbl.iter
-      (fun name ops_rev ->
-        let p = partition_of_object ~workers name in
-        objs.(p) <- (name, List.rev !ops_rev) :: objs.(p);
-        ops.(p) <- ops.(p) + List.length !ops_rev)
-      by_obj;
-    Array.iteri
-      (fun p l ->
-        objs.(p) <- List.sort (fun (a, _) (b, _) -> compare a b) l)
-      objs;
-    (objs, ops)
-  in
-  let fold () =
-    List.iteri (fun i r -> step (i + 1) r) recs;
-    build_objects ()
-  in
-  let objs, ops =
-    match profile with
-    | None -> fold ()
-    | Some p ->
-        Profile.note_records_scanned p n_records;
-        Profile.time_excluding p Profile.Log_scan ~minus:Profile.Checkpoint_seed
-          fold
-  in
-  let compute_losers () =
-    Array.init workers (fun p ->
-        Hashtbl.fold
-          (fun tid () acc ->
-            if Hashtbl.mem finished.(p) tid then acc else Tid.Set.add tid acc)
-          seen.(p) Tid.Set.empty)
-  in
-  let losers =
-    match profile with
-    | None -> compute_losers ()
-    | Some p ->
-        let losers = Profile.time p Profile.Loser_undo compute_losers in
-        Profile.note_losers p
-          (Array.fold_left (fun n s -> n + Tid.Set.cardinal s) 0 losers);
-        losers
-  in
-  {
-    partitions =
-      Array.init workers (fun p ->
-          {
-            part_index = p;
-            part_objects = objs.(p);
-            part_ops = ops.(p);
-            part_losers = losers.(p);
-          });
-    plan_ops = !total_ops;
-    plan_records = n_records;
-    plan_from = !from;
-    plan_to = n_records;
-    plan_next_tid = !hwm;
-  }
-
-let plan_losers plan =
-  Array.fold_left
-    (fun acc part -> Tid.Set.union acc part.part_losers)
-    Tid.Set.empty plan.partitions
 
 (* ------------------------------------------------------------------ *)
 (* Binary framing for the on-disk log.                                 *)
@@ -804,7 +650,7 @@ module Codec = struct
 
   (* Parse and validate one frame header at [pos] — the single
      version-negotiation point every reader (decode, resync scan,
-     parallel extent walk, journal search, forensics) dispatches
+     journal search, forensics) dispatches
      through.  No CRC is paid.  The corruption carries the frame's
      version byte whenever it was readable — including a foreign
      version, so a reader can report exactly which format it refused
@@ -903,8 +749,7 @@ module Codec = struct
         (** a trailing torn/corrupt frame that was dropped as crash loss *)
   }
 
-  (* The serial decode loop (also the fallback for the parallel path). *)
-  let decode_serial ?profile s =
+  let decode_all ?profile s =
     let len = String.length s in
     let rec go acc pos =
       if pos = len then Ok { records = List.rev acc; clean_bytes = pos; torn = None }
@@ -920,92 +765,12 @@ module Codec = struct
             if valid_frame_after s (pos + 1) then Error c
             else Ok { records = List.rev acc; clean_bytes = pos; torn = Some c }
     in
-    go [] 0
-
-  (* A cheap header-only walk: the byte offset of every frame, provided
-     the walk covers the image exactly (no gap, no trailing bytes) with
-     plausible headers throughout.  No CRC is paid; any anomaly returns
-     [None] and the caller falls back to the serial decoder, which is
-     the sole authority on torn tails and interior corruption. *)
-  let frame_extents s =
-    let len = String.length s in
-    let rec go acc pos =
-      if pos = len then Some (List.rev acc)
-      else
-        match read_header s pos with
-        | Error _ -> None
-        | Ok h -> go (pos :: acc) (pos + h.h_size + h.h_payload_len)
-    in
-    go [] 0
-
-  (* Below this many frames the domain spawn/join overhead dwarfs the
-     CRC work; the threshold is fixed so a given image always takes the
-     same path. *)
-  let parallel_decode_min_frames = 256
-
-  let decode_parallel ~workers s =
-    match frame_extents s with
-    | None -> None
-    | Some extents ->
-        let n = List.length extents in
-        if n < parallel_decode_min_frames then None
-        else begin
-          let offsets = Array.of_list extents in
-          let nw = min workers n in
-          let chunk = (n + nw - 1) / nw in
-          let results = Array.make n None in
-          let run w () =
-            (* Each worker owns a disjoint slice of [results]. *)
-            let lo = w * chunk and hi = min n ((w + 1) * chunk) in
-            for i = lo to hi - 1 do
-              match decode_frame s offsets.(i) with
-              | Ok (r, _) -> results.(i) <- Some r
-              | Error _ -> ()
-            done
-          in
-          let domains =
-            Array.init nw (fun w -> Domain.spawn (run w))
-          in
-          Array.iter Domain.join domains;
-          if Array.for_all Option.is_some results then
-            Some
-              {
-                records =
-                  Array.to_list (Array.map Option.get results);
-                clean_bytes = String.length s;
-                torn = None;
-              }
-          else None
-        end
-
-  let decode_all ?profile ?(workers = 1) s =
-    let len = String.length s in
-    let decode () =
-      if workers <= 1 then decode_serial ?profile s
-      else
-        (* The parallel path only accepts a fully intact image (every
-           frame verified by some worker); anything less — a torn tail,
-           a corrupt frame, an implausible header — falls back to the
-           serial decoder so the torn/interior verdicts are produced by
-           exactly the same code as the serial path. *)
-        match decode_parallel ~workers s with
-        | Some decoded ->
-            (match profile with
-            | None -> ()
-            | Some p -> Profile.note_frames p (List.length decoded.records));
-            Ok decoded
-        | None -> decode_serial ?profile s
-    in
     match profile with
-    | None -> decode ()
+    | None -> go [] 0
     | Some p ->
-        (* In the parallel case the CRC work happens inside worker
-           domains (the profile is not shared across domains), so the
-           whole barrier is charged to [Frame_decode] and
-           [Checksum_verify] stays at zero — the phases still tile. *)
         let result =
           Profile.time_excluding p Profile.Frame_decode
-            ~minus:Profile.Checksum_verify decode
+            ~minus:Profile.Checksum_verify (fun () -> go [] 0)
         in
         (match result with
         | Ok { clean_bytes; _ } -> Profile.note_torn_bytes p (len - clean_bytes)

@@ -45,15 +45,15 @@ type record =
           bytes).  It lives only in the journal region of the backend —
           never appended to an in-memory log — and {!Disk_wal.load}
           resolves it (redo or roll back the compaction) before the log
-          reaches replay; {!replay} and {!plan} ignore a stray one (it
-          carries no transaction state). *)
+          reaches replay; {!replay} ignores a stray one (it carries no
+          transaction state). *)
   | Prepare of Tid.t
       (** Two-phase-commit vote record, logged and {e forced} by a
           participant shard before it answers yes: the shard's operations
           for the transaction are all in the log before this record, so
           a recovered shard holding a [Prepare] can install the
           transaction in full if the global decision was commit.
-          {!replay}/{!plan} read it as {e presumed abort}: a prepared
+          {!replay} reads it as {e presumed abort}: a prepared
           transaction with no later local [Commit]/[Abort] is a loser —
           {!Sharded_database.recover} resolves such in-doubt
           transactions against the other shards' logs first. *)
@@ -178,92 +178,45 @@ val prefix : t -> int -> t
     operations. *)
 val truncate_to_checkpoint : t -> int
 
-(** [replay records] folds a log into the durable outcome: the committed
-    operations in commit order and the set of transactions that must be
-    considered aborted (begun or operating — including those known only
-    from the latest checkpoint's [live] snapshot — but with no commit
-    record).  Operations of a transaction are redone only if its commit
+(** What one fold of the log yields: everything crash recovery needs. *)
+type outcome = {
+  committed : Op.t list;  (** committed operations in commit order *)
+  losers : Tid.Set.t;
+      (** transactions begun or operating — including those known only
+          from the latest checkpoint's [live] snapshot — with no commit
+          or abort record: they must be considered aborted *)
+  next_tid : int;
+      (** first tid strictly above every tid the log mentions, by a
+          record or by a checkpoint's [live]/[next_tid] snapshot (0 for
+          a log that mentions none) *)
+}
+
+(** [replay_outcome records] folds a log into the durable outcome in
+    one pass.  Operations of a transaction are redone only if its commit
     record is present; a transaction live at the latest checkpoint that
     commits afterwards replays its snapshot operations followed by the
     ones it logged after the checkpoint.
 
+    The fold replays {e exactly} the records it is given — the record
+    range [[from, to)] of a log is its input, and a checkpoint inside
+    the range stands for every record before it — so a caller that
+    ships or slices a log decides the range, not this function.
+
     With [profile], the fold is charged to the restart profiler:
     records scanned, checkpoint seeding (time and seeded ops), the scan
     itself, and loser resolution. *)
+val replay_outcome :
+  ?profile:Tm_obs.Recovery_profile.t -> record list -> outcome
+
+(** [replay records] is {!replay_outcome}'s committed operations and
+    loser set. *)
 val replay :
   ?profile:Tm_obs.Recovery_profile.t -> record list -> Op.t list * Tid.Set.t
 
 (** [max_tid records] is the highest transaction id mentioned anywhere in
     the log — by a record or by a checkpoint's [live]/[next_tid] snapshot
-    — or [None] for a log that mentions none.  Recovery seeds tid
-    allocation strictly above it. *)
+    — or [None] for a log that mentions none. *)
 val max_tid : record list -> Tid.t option
-
-(** {2 Partitioned replay}
-
-    {!plan} is the bucketing pass behind parallel recovery
-    ({!Durable_database.recover}'s [~workers]): one fold over the log —
-    the same fold as {!replay}, checkpoint seeding included — that
-    groups committed operations by object instead of producing one
-    global list, and shards the loser set by transaction id.  Objects
-    are assigned to partitions by {!partition_of_object} (a hash of the
-    object name), so every operation of an object lands in exactly one
-    partition and partitions can be replayed concurrently with no
-    shared state; the loser shards are disjoint by construction and
-    their union ({!plan_losers}) equals {!replay}'s loser set.
-
-    The plan covers an explicit record range [[plan_from, plan_to]]
-    (1-based): replay semantically starts at the latest checkpoint —
-    its fuzzy snapshot stands for every record before it — and ends at
-    the last record.  A partition replays {e exactly} the committed
-    operations the plan assigned it from that range, no more and no
-    less; the coordinator checks the per-partition counts sum back to
-    [plan_ops]. *)
-
-type partition = {
-  part_index : int;
-  part_objects : (string * Op.t list) list;
-      (** committed operations per object in commit order, sorted by
-          object name (the plan is a pure function of the records) *)
-  part_ops : int;  (** total committed operations across [part_objects] *)
-  part_losers : Tid.Set.t;  (** this partition's shard of the loser set *)
-}
-
-type plan = {
-  partitions : partition array;  (** length = [workers] *)
-  plan_ops : int;  (** committed operations across all partitions *)
-  plan_records : int;  (** records scanned *)
-  plan_from : int;
-      (** 1-based position replay effectively starts at: the latest
-          checkpoint's record, or 1 when there is none *)
-  plan_to : int;  (** 1-based position of the last record covered *)
-  plan_next_tid : int;
-      (** first tid strictly above every tid the log mentions (0 for a
-          log that mentions none) — what {!max_tid} + 1 used to be,
-          computed in the same pass *)
-}
-
-(** [partition_of_object ~workers name] — the partition an object's
-    operations are bucketed into ([Hashtbl.hash name mod workers]:
-    deterministic across runs and domains). *)
-val partition_of_object : workers:int -> string -> int
-
-(** [partition_of_tid ~workers tid] — the shard of the loser set a
-    transaction id belongs to. *)
-val partition_of_tid : workers:int -> Tid.t -> int
-
-(** [plan ~workers records] — the partitioned replay plan.  [workers]
-    must be >= 1; with [workers = 1] the single partition holds every
-    object and the full loser set, reproducing serial replay exactly.
-    With [profile], the pass charges the same phases as {!replay}
-    (records scanned, checkpoint seeding, log scan, loser resolution),
-    so a partitioned restart profiles like a serial one plus the
-    object-replay phases. *)
-val plan :
-  ?profile:Tm_obs.Recovery_profile.t -> workers:int -> record list -> plan
-
-(** The union of every partition's loser shard (= {!replay}'s losers). *)
-val plan_losers : plan -> Tid.Set.t
 
 (** [fuzzy_checkpoint ?next_tid records] computes the checkpoint snapshot
     of [records]: committed operations in commit order, the operation log
@@ -406,20 +359,7 @@ module Codec : sig
   (** [decode_all s] — [Ok] with the decoded records (and possibly a
       truncated torn tail), or [Error] on interior corruption.  With
       [profile], frame decode and CRC verification are charged as
-      separate phases, and decoded frames / torn bytes are counted.
-
-      With [workers > 1] and a large enough image, a cheap header-only
-      walk first locates every frame; if the walk covers the image
-      exactly, the CRC verification and payload decode of the frames is
-      spread over that many domains.  Any anomaly — a torn tail, a
-      corrupt frame, an implausible header — falls back to the serial
-      decoder, so torn/interior verdicts always come from the same code
-      path regardless of [workers].  (In the parallel case the whole
-      barrier is charged to the frame-decode phase: CRC time is spent
-      inside worker domains, which do not share the profile.) *)
+      separate phases, and decoded frames / torn bytes are counted. *)
   val decode_all :
-    ?profile:Tm_obs.Recovery_profile.t ->
-    ?workers:int ->
-    string ->
-    (decoded, corruption) result
+    ?profile:Tm_obs.Recovery_profile.t -> string -> (decoded, corruption) result
 end

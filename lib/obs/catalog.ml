@@ -146,15 +146,6 @@ let all =
       "Committed operations seeded from the newest checkpoint.";
     e profiler "tm_recovery_object_replayed_ops_total" Counter [ "obj" ]
       "Committed operations replayed into each object during restart.";
-    e profiler "tm_recovery_workers" Gauge []
-      "Replay workers used by the last partitioned restart (1 = \
-       serial semantics).";
-    e profiler "tm_recovery_partition_seconds" Gauge [ "partition" ]
-      "Wall seconds each replay partition spent restoring its objects \
-       during the last restart.";
-    e profiler "tm_recovery_partition_replayed_ops_total" Counter
-      [ "partition" ]
-      "Committed operations replayed by each partition during restart.";
   ]
 
 let find name = List.find_opt (fun entry -> entry.name = name) all

@@ -57,11 +57,6 @@ type t = {
   mutable replayed_ops : int;
   mutable loser_txns : int;
   per_object : (string, int) Hashtbl.t;  (* obj -> committed ops re-applied *)
-  (* parallel replay: worker count and per-partition outcomes, recorded
-     by the coordinator after the barrier (never from worker domains). *)
-  mutable workers : int;  (* 0 until a partitioned replay notes it *)
-  mutable partitions_rev : (int * int * int * float) list;
-      (* (index, objects, replayed ops, wall seconds) *)
   started : float;
   mutable total : float option;  (* end-to-end wall, stamped by [finish] *)
 }
@@ -81,13 +76,9 @@ let create ?clock () =
     replayed_ops = 0;
     loser_txns = 0;
     per_object = Hashtbl.create 8;
-    workers = 0;
-    partitions_rev = [];
     started = clock ();
     total = None;
   }
-
-let now t = t.clock ()
 
 let phase_wall t ph = t.wall.(phase_index ph)
 let phase_calls t ph = t.calls.(phase_index ph)
@@ -116,7 +107,6 @@ let time_excluding t ph ~minus f =
 let note_bytes_scanned t n = t.bytes_scanned <- t.bytes_scanned + n
 let note_torn_bytes t n = t.torn_bytes <- t.torn_bytes + n
 let note_frame t = t.frames_decoded <- t.frames_decoded + 1
-let note_frames t n = t.frames_decoded <- t.frames_decoded + n
 let note_records_scanned t n = t.records_scanned <- t.records_scanned + n
 
 let note_checkpoint_seed t ~ops =
@@ -129,10 +119,6 @@ let note_object_replay t ~obj n =
     (n + Option.value (Hashtbl.find_opt t.per_object obj) ~default:0)
 
 let note_losers t n = t.loser_txns <- t.loser_txns + n
-let note_workers t n = t.workers <- n
-
-let note_partition t ~index ~objects ~ops ~wall =
-  t.partitions_rev <- (index, objects, ops, wall) :: t.partitions_rev
 
 let finish t = t.total <- Some (t.clock () -. t.started)
 
@@ -148,11 +134,6 @@ let loser_txns t = t.loser_txns
 let per_object t =
   Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.per_object []
   |> List.sort compare
-
-let workers t = t.workers
-
-let partitions t =
-  List.sort (fun (a, _, _, _) (b, _, _, _) -> compare a b) t.partitions_rev
 
 let phases_wall t = Array.fold_left ( +. ) 0.0 t.wall
 
@@ -186,23 +167,7 @@ let export t reg =
       Metrics.Counter.incr ~by:n
         (Metrics.counter reg "tm_recovery_object_replayed_ops_total"
            ~labels:[ ("obj", obj) ]))
-    (per_object t);
-  (* Worker/partition families only exist for partitioned replays; a
-     bare [Wal.replay] profile exports exactly what it did before. *)
-  if t.workers > 0 then
-    Metrics.Gauge.set
-      (Metrics.gauge reg "tm_recovery_workers")
-      (float_of_int t.workers);
-  List.iter
-    (fun (index, _objects, ops, wall) ->
-      let labels = [ ("partition", string_of_int index) ] in
-      Metrics.Gauge.set
-        (Metrics.gauge reg "tm_recovery_partition_seconds" ~labels)
-        wall;
-      Metrics.Counter.incr ~by:ops
-        (Metrics.counter reg "tm_recovery_partition_replayed_ops_total"
-           ~labels))
-    (partitions t)
+    (per_object t)
 
 (* Each phase as a trace-span payload: the phase name, its wall time in
    microseconds, and the item count most characteristic of the phase. *)
@@ -224,10 +189,6 @@ let spans t =
       if phase_calls t ph = 0 && items = 0 then None
       else Some (phase_name ph, us wall, items))
     all_phases
-  @ List.map
-      (fun (index, _objects, ops, wall) ->
-        (Fmt.str "object_replay.p%d" index, us wall, ops))
-      (partitions t)
 
 let pp ppf t =
   let total = total_wall t in
@@ -245,23 +206,15 @@ let pp ppf t =
      (%d seed ops); replayed %d ops; %d losers@."
     t.bytes_scanned t.torn_bytes t.frames_decoded t.records_scanned
     t.checkpoints_seen t.checkpoint_seed_ops t.replayed_ops t.loser_txns;
-  (match per_object t with
+  match per_object t with
   | [] -> ()
   | objs ->
       Fmt.pf ppf "  per object:%a@."
         Fmt.(list ~sep:nop (fun ppf (o, n) -> Fmt.pf ppf " %s=%d" o n))
-        objs);
-  match partitions t with
-  | [] -> ()
-  | parts ->
-      Fmt.pf ppf "  replay workers: %d; partitions:%a@." t.workers
-        Fmt.(
-          list ~sep:nop (fun ppf (i, objs, ops, wall) ->
-              Fmt.pf ppf " p%d=%d objs/%d ops/%.3f ms" i objs ops (wall *. 1e3)))
-        parts
+        objs
 
 let to_json t =
-  let base =
+  Json.Obj
     [
       ("total_seconds", Json.Float (total_wall t));
       ( "phases",
@@ -287,26 +240,3 @@ let to_json t =
       ( "per_object",
         Json.Obj (List.map (fun (o, n) -> (o, Json.Int n)) (per_object t)) );
     ]
-  in
-  (* Only partitioned replays carry these keys, so profiles written by
-     the serial path are byte-identical to what they were. *)
-  let parallel =
-    if t.workers = 0 && t.partitions_rev = [] then []
-    else
-      [
-        ("workers", Json.Int t.workers);
-        ( "partitions",
-          Json.Obj
-            (List.map
-               (fun (i, objects, ops, wall) ->
-                 ( Fmt.str "p%d" i,
-                   Json.Obj
-                     [
-                       ("objects", Json.Int objects);
-                       ("ops", Json.Int ops);
-                       ("seconds", Json.Float wall);
-                     ] ))
-               (partitions t)) );
-      ]
-  in
-  Json.Obj (base @ parallel)

@@ -38,11 +38,6 @@ type t
 (** [create ?clock ()] — [clock] defaults to [Unix.gettimeofday]. *)
 val create : ?clock:(unit -> float) -> unit -> t
 
-(** A reading of the profile's clock, for callers that measure an
-    interval themselves (e.g. per-partition replay walls) and want the
-    injected clock rather than [Unix.gettimeofday]. *)
-val now : t -> float
-
 (** [time t ph f] runs [f], charging its wall time (and one call) to
     [ph]. *)
 val time : t -> phase -> (unit -> 'a) -> 'a
@@ -60,12 +55,6 @@ val add_wall : t -> phase -> float -> unit
 val note_bytes_scanned : t -> int -> unit
 val note_torn_bytes : t -> int -> unit
 val note_frame : t -> unit
-
-(** [note_frames t n] counts [n] frames at once (the parallel decode
-    path, which verifies frames in worker domains and accounts for them
-    at the barrier). *)
-val note_frames : t -> int -> unit
-
 val note_records_scanned : t -> int -> unit
 val note_checkpoint_seed : t -> ops:int -> unit
 
@@ -74,23 +63,6 @@ val note_checkpoint_seed : t -> ops:int -> unit
 val note_object_replay : t -> obj:string -> int -> unit
 
 val note_losers : t -> int -> unit
-
-(** {1 Partitioned replay}
-
-    A partitioned restart ({!Tm_engine.Durable_database.recover} with
-    [~workers]) records its worker count and one outcome per partition.
-    The profile is {e not} shared across worker domains: the coordinator
-    notes everything after the join barrier, so these mutators are
-    single-threaded like the rest of the profile. *)
-
-(** [note_workers t n] — the replay ran with [n] workers (1 = serial). *)
-val note_workers : t -> int -> unit
-
-(** [note_partition t ~index ~objects ~ops ~wall] — partition [index]
-    restored [objects] objects, replaying [ops] committed operations in
-    [wall] seconds. *)
-val note_partition :
-  t -> index:int -> objects:int -> ops:int -> wall:float -> unit
 
 (** [finish t] stamps the end-to-end wall time (creation to now). *)
 val finish : t -> unit
@@ -115,14 +87,6 @@ val loser_txns : t -> int
 (** [(obj, replayed ops)] sorted by object name. *)
 val per_object : t -> (string * int) list
 
-(** Worker count noted by the last partitioned replay (0 when the
-    restart never went through the partitioned path). *)
-val workers : t -> int
-
-(** [(index, objects, replayed ops, wall seconds)] per partition,
-    sorted by index; empty for a serial-only profile. *)
-val partitions : t -> (int * int * int * float) list
-
 (** {1 Exports} *)
 
 (** [export t reg] publishes the profile as the [tm_recovery_*] metric
@@ -134,19 +98,14 @@ val partitions : t -> (int * int * int * float) list
     [tm_recovery_records_scanned_total],
     [tm_recovery_checkpoints_seen_total],
     [tm_recovery_checkpoint_seed_ops_total]) and
-    [tm_recovery_object_replayed_ops_total{obj}].  A partitioned replay
-    additionally exports [tm_recovery_workers],
-    [tm_recovery_partition_seconds{partition}] and
-    [tm_recovery_partition_replayed_ops_total{partition}]. *)
+    [tm_recovery_object_replayed_ops_total{obj}]. *)
 val export : t -> Metrics.t -> unit
 
 (** The phases as trace-span payloads [(phase, wall microseconds,
     items)], omitting phases that neither ran nor counted anything.
     [items] is the count most characteristic of the phase (bytes for the
     storage scan, frames for decode/verify, records for the log scan,
-    operations for seeding/replay, transactions for loser resolution).
-    A partitioned replay appends one [object_replay.p<i>] span per
-    partition (its wall and replayed-op count). *)
+    operations for seeding/replay, transactions for loser resolution). *)
 val spans : t -> (string * int * int) list
 
 val pp : Format.formatter -> t -> unit

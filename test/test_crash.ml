@@ -152,12 +152,7 @@ let test_torture_truncation_clean () =
     (Fmt.str "no violations: %a" Crash.pp_report report)
     true (Crash.ok report);
   Helpers.check_bool "the sweep exercised crash states" true
-    (report.Crash.cuts > 0);
-  (* and through the parallel replay path *)
-  let par = Crash.torture_truncation ~workers:4 ~rebuild:rebuild_ba wal in
-  Helpers.check_bool
-    (Fmt.str "no violations with 4 workers: %a" Crash.pp_report par)
-    true (Crash.ok par)
+    (report.Crash.cuts > 0)
 
 let test_torture_truncation_no_checkpoint () =
   (* Nothing to compact: the sweep is vacuous, not wrong. *)
@@ -167,44 +162,6 @@ let test_torture_truncation_no_checkpoint () =
   let report = Crash.torture_truncation ~rebuild:rebuild_ba wal in
   Helpers.check_int "no crash states" 0 report.Crash.cuts;
   Helpers.check_bool "clean" true (Crash.ok report)
-
-(* --- parallel replay: equivalence with serial recovery --- *)
-
-let committed_by_object db =
-  List.map
-    (fun o -> (Atomic_object.name o, Atomic_object.committed_ops o))
-    (Tm_engine.Database.objects (DD.database db))
-
-(* Same seed, same worker count: the partition layout and its profile
-   accounting are deterministic — the object-to-partition map is a
-   stable hash, not an artifact of scheduling. *)
-let test_parallel_replay_deterministic () =
-  let scenario = Experiment.transfer () in
-  let setup = Experiment.setup Recovery.UIP Experiment.Semantic in
-  let cfg = Scheduler.config ~concurrency:3 ~total_txns:6 ~seed:23 () in
-  let _row, wal = Experiment.run_durable ~checkpoint_every:2 scenario setup cfg in
-  let rebuild () = scenario.Experiment.build setup in
-  let observe () =
-    let profile = Tm_obs.Recovery_profile.create () in
-    match DD.recover ~profile ~workers:4 ~wal ~rebuild () with
-    | Error _ -> Alcotest.fail "recover failed"
-    | Ok _ ->
-        ( Tm_obs.Recovery_profile.workers profile,
-          List.map
-            (fun (i, objs, ops, _wall) -> (i, objs, ops))
-            (Tm_obs.Recovery_profile.partitions profile),
-          List.map
-            (fun (phase, _wall, items) -> (phase, items))
-            (Tm_obs.Recovery_profile.spans profile) )
-  in
-  let w1, parts1, spans1 = observe () in
-  let w2, parts2, spans2 = observe () in
-  Helpers.check_int "workers recorded" 4 w1;
-  Helpers.check_int "partitions cover the pool" 4 (List.length parts1);
-  Helpers.check_bool "partition tiling identical across runs" true
-    (parts1 = parts2 && w1 = w2);
-  Alcotest.(check (list (pair string int)))
-    "span structure identical across runs" spans1 spans2
 
 (* --- batch-prefix torture of a group-committed run --- *)
 
@@ -270,14 +227,19 @@ let prop_crash_invariants =
           scenario.Experiment.name (Experiment.label setup) seed checkpoint_every
           Crash.pp_report report)
 
-(* For every worker count, recovery of any crash prefix must be
-   indistinguishable from serial recovery: same committed operations at
-   every object, same loser set, same restart tid.  Driven over the
-   multi-object scenario pool with random checkpoint placement, so
-   partitions, checkpoint seeding and losers all participate. *)
-let prop_parallel_replay_equivalent =
-  Helpers.qcheck ~count:40
-    "parallel replay = serial replay at any worker count"
+let committed_by_object db =
+  List.map
+    (fun o -> (Atomic_object.name o, Atomic_object.committed_ops o))
+    (Tm_engine.Database.objects (DD.database db))
+
+(* Recovery of any crash prefix must agree with a direct replay of the
+   same records: each object holds exactly its share of the committed
+   operations in commit order, the loser sets are equal, and new
+   transactions allocate above every tid the log mentions.  Driven over
+   the multi-object scenario pool with random checkpoint placement, so
+   checkpoint seeding and losers both participate. *)
+let prop_recover_matches_replay =
+  Helpers.qcheck ~count:40 "recover = Wal.replay on every crash prefix"
     QCheck2.Gen.(
       tup4 (int_range 0 10_000) (int_bound 3)
         (int_bound (Array.length prop_scenarios - 1))
@@ -290,30 +252,30 @@ let prop_parallel_replay_equivalent =
       (* crash at a seed-derived record cut so losers are common *)
       let cut = seed mod (Wal.length wal + 1) in
       let log = Wal.prefix wal cut in
-      let recover_with workers =
-        match DD.recover ~workers ~wal:log ~rebuild () with
-        | Ok (db, losers) ->
-            (committed_by_object db, losers, DD.begin_txn db)
-        | Error e ->
-            QCheck2.Test.fail_reportf "recover (workers %d) failed: %a" workers
-              Recovery.pp_error e
+      let recs = Wal.records log in
+      let committed, losers = Wal.replay recs in
+      let fail what =
+        QCheck2.Test.fail_reportf "%s/%s seed %d cut %d: %s"
+          scenario.Experiment.name (Experiment.label setup) seed cut what
       in
-      let sc, sl, st = recover_with 1 in
-      List.for_all
-        (fun w ->
-          let pc, pl, pt = recover_with w in
-          let same_committed =
-            List.equal
-              (fun (n1, o1) (n2, o2) ->
-                String.equal n1 n2 && List.equal Op.equal o1 o2)
-              sc pc
+      match DD.recover ~wal:log ~rebuild () with
+      | Error e -> fail (Fmt.str "recover failed: %a" Recovery.pp_error e)
+      | Ok (db, rlosers) ->
+          let per_object_ok =
+            List.for_all
+              (fun (name, ops) ->
+                List.equal Op.equal ops
+                  (List.filter (fun (op : Op.t) -> String.equal op.Op.obj name) committed))
+              (committed_by_object db)
           in
-          if same_committed && Tid.Set.equal sl pl && Tid.equal st pt then true
-          else
-            QCheck2.Test.fail_reportf
-              "%s/%s seed %d cut %d: %d-worker recovery diverged from serial"
-              scenario.Experiment.name (Experiment.label setup) seed cut w)
-        [ 2; 4; 8 ])
+          let first = Tid.to_int (DD.begin_txn db) in
+          let above_max =
+            match Wal.max_tid recs with None -> true | Some m -> first > Tid.to_int m
+          in
+          if not per_object_ok then fail "an object's committed operations differ"
+          else if not (Tid.Set.equal losers rlosers) then fail "loser sets differ"
+          else if not above_max then fail (Fmt.str "first tid %d reuses a logged tid" first)
+          else true)
 
 let suite =
   [
@@ -331,10 +293,8 @@ let suite =
       test_torture_truncation_clean;
     Alcotest.test_case "truncation torture: vacuous without checkpoint" `Quick
       test_torture_truncation_no_checkpoint;
-    Alcotest.test_case "parallel replay deterministic" `Quick
-      test_parallel_replay_deterministic;
     Alcotest.test_case "batch-prefix torture of group-committed run" `Quick
       test_torture_batched_group_commit;
     prop_crash_invariants;
-    prop_parallel_replay_equivalent;
+    prop_recover_matches_replay;
   ]

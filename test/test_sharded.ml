@@ -36,15 +36,15 @@ let account name =
     ~conflict:BA.nrbc_conflict ~recovery:Recovery.UIP ()
 
 (* Object names routed to each of [n] shards: probe "BA<i>" until every
-   shard has one.  The router is [Wal.partition_of_object], so the test
-   never hard-codes the hash. *)
+   shard has one.  The router is [SD.home_shard], so the test never
+   hard-codes the hash. *)
 let names_per_shard n =
   let found = Array.make n None in
   let remaining = ref n in
   let i = ref 0 in
   while !remaining > 0 do
     let name = Fmt.str "BA%d" !i in
-    let s = Wal.partition_of_object ~workers:n name in
+    let s = SD.home_shard ~shards:n name in
     if found.(s) = None then begin
       found.(s) <- Some name;
       decr remaining

@@ -163,50 +163,6 @@ let test_valid_frame_after () =
   Helpers.check_bool "budget exhaustion is conservative (interior)" true
     (Codec.valid_frame_after ~budget:1 adversarial 0)
 
-(* Parallel frame decode is an internal optimisation: for any image the
-   result must be identical to the serial decoder — including torn and
-   damaged images, where it falls back to serial for the verdict. *)
-let test_parallel_decode_equivalence () =
-  let recs =
-    List.concat
-      (List.init 150 (fun i ->
-           let t = Tid.of_int (i mod 10) in
-           [ Wal.Begin t; Wal.Operation (t, BA.deposit 1); Wal.Commit t ]))
-  in
-  let bytes = Codec.encode_all recs in
-  let serial = Codec.decode_all bytes in
-  List.iter
-    (fun w ->
-      match (serial, Codec.decode_all ~workers:w bytes) with
-      | Ok a, Ok b ->
-          Helpers.check_bool
-            (Fmt.str "clean image, %d workers" w)
-            true
-            (List.equal Wal.equal_record a.Codec.records b.Codec.records
-            && a.Codec.clean_bytes = b.Codec.clean_bytes
-            && a.Codec.torn = b.Codec.torn)
-      | _ -> Alcotest.fail "clean image failed to decode")
-    [ 1; 2; 4; 8 ];
-  (* torn tail: parallel extents cannot cover the image; serial fallback
-     must report the identical truncation *)
-  let torn = String.sub bytes 0 (String.length bytes - 5) in
-  (match (Codec.decode_all torn, Codec.decode_all ~workers:4 torn) with
-  | Ok a, Ok b ->
-      Helpers.check_bool "torn image identical via fallback" true
-        (List.equal Wal.equal_record a.Codec.records b.Codec.records
-        && a.Codec.clean_bytes = b.Codec.clean_bytes)
-  | _ -> Alcotest.fail "torn image failed to decode");
-  (* interior damage: same refusal, same offset *)
-  let b = Bytes.of_string bytes in
-  let hdr = Codec.header_size Codec.write_version in
-  Bytes.set b hdr (Char.chr (Char.code (Bytes.get b hdr) lxor 0x10));
-  let damaged = Bytes.to_string b in
-  match (Codec.decode_all damaged, Codec.decode_all ~workers:4 damaged) with
-  | Error a, Error b ->
-      Helpers.check_int "same interior offset via fallback" a.Codec.offset
-        b.Codec.offset
-  | _ -> Alcotest.fail "interior damage not refused"
-
 let test_codec_frame_shape () =
   Helpers.check_int "write format version" 2 Codec.write_version;
   Alcotest.(check (list int))
@@ -738,8 +694,6 @@ let suite =
       test_codec_truncate_intent_roundtrip;
     Alcotest.test_case "valid_frame_after: verdicts and probe budget" `Quick
       test_valid_frame_after;
-    Alcotest.test_case "parallel decode = serial decode" `Quick
-      test_parallel_decode_equivalence;
     Alcotest.test_case "memory semantics" `Quick test_memory_semantics;
     Alcotest.test_case "file backend" `Quick test_file_backend;
     Alcotest.test_case "faulty torn write" `Quick test_faulty_torn_write;

@@ -257,6 +257,29 @@ let test_durable_database_truncated_recovery () =
     [ BA.deposit 2; BA.deposit 4 ]
     (Atomic_object.committed_ops o)
 
+(* Recovery must not drop committed work: a log holding committed
+   operations of an object [rebuild] does not supply is refused with a
+   typed error naming that object, not recovered without it. *)
+let test_recover_refuses_unsupplied_object () =
+  let module DD = Tm_engine.Durable_database in
+  let account name =
+    Atomic_object.create ~spec:(Spec.rename BA.spec name) ~conflict:BA.nrbc_conflict
+      ~recovery:Recovery.UIP ()
+  in
+  let wal = Wal.create () in
+  let db = DD.create ~wal [ account "A"; account "B" ] in
+  let t = DD.begin_txn db in
+  ignore (DD.invoke db t ~obj:"A" (deposit_inv 5));
+  ignore (DD.invoke db t ~obj:"B" (deposit_inv 3));
+  Helpers.check_bool "t commits" true (DD.try_commit db t = Ok ());
+  (match DD.recover ~wal ~rebuild:(fun () -> [ account "A" ]) () with
+  | Ok _ -> Alcotest.fail "recovered without B's committed deposit"
+  | Error e -> Alcotest.(check string) "error names the object" "B" e.Recovery.obj);
+  (* an object the log never mentions is fine: it replays empty *)
+  match DD.recover ~wal ~rebuild:(fun () -> [ account "A"; account "B"; account "C" ]) () with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "extra object refused: %a" Recovery.pp_error e
+
 let test_durable_end_to_end () =
   let wal = Wal.create () in
   let d = make wal in
@@ -545,6 +568,8 @@ let suite =
       test_no_tid_reuse_after_recovery;
     Alcotest.test_case "recovery from truncated log" `Quick
       test_durable_database_truncated_recovery;
+    Alcotest.test_case "recover refuses an object rebuild omits" `Quick
+      test_recover_refuses_unsupplied_object;
     Alcotest.test_case "durable end-to-end" `Quick test_durable_end_to_end;
     Alcotest.test_case "write-ahead rule" `Quick test_write_ahead_rule;
     Alcotest.test_case "crash injection (UIP)" `Slow test_crash_injection_uip;

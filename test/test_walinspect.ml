@@ -402,62 +402,6 @@ let test_inspect_truncate_intent () =
   Alcotest.(check string) "clean" "clean"
     (Wal_inspect.damage_kind s.Wal_inspect.damage)
 
-(* Partitioned-replay accounting: worker/partition gauges and spans are
-   exported when recorded, and entirely absent from a serial profile —
-   serial dumps must stay byte-identical to the pre-parallel format. *)
-let test_profile_partitions () =
-  let clock, tick = fake_clock () in
-  let p = Profile.create ~clock () in
-  Profile.time p Profile.Object_replay (fun () -> tick 0.5);
-  Profile.note_object_replay p ~obj:"BA1" 9;
-  Profile.note_object_replay p ~obj:"BA0" 4;
-  Profile.note_workers p 2;
-  Profile.note_partition p ~index:1 ~objects:3 ~ops:9 ~wall:0.3;
-  Profile.note_partition p ~index:0 ~objects:2 ~ops:4 ~wall:0.2;
-  Profile.finish p;
-  Helpers.check_int "workers" 2 (Profile.workers p);
-  Alcotest.(check bool) "partitions sorted by index" true
-    (List.map (fun (i, o, n, _) -> (i, o, n)) (Profile.partitions p)
-    = [ (0, 2, 4); (1, 3, 9) ]);
-  let reg = Metrics.create () in
-  Profile.export p reg;
-  Alcotest.(check (option (float 1e-9))) "workers gauge" (Some 2.)
-    (Metrics.gauge_value reg "tm_recovery_workers");
-  Alcotest.(check (option (float 1e-9))) "partition wall gauge" (Some 0.3)
-    (Metrics.gauge_value reg
-       ~labels:[ ("partition", "1") ]
-       "tm_recovery_partition_seconds");
-  Helpers.check_int "partition ops counter" 4
-    (Metrics.counter_value reg
-       ~labels:[ ("partition", "0") ]
-       "tm_recovery_partition_replayed_ops_total");
-  (* per-partition spans ride along after the phase spans *)
-  Alcotest.(check (list (pair string int)))
-    "partition spans" [ ("object_replay", 13); ("object_replay.p0", 4);
-                        ("object_replay.p1", 9) ]
-    (List.filter_map
-       (fun (n, _, items) ->
-         if String.length n >= 13 && String.sub n 0 13 = "object_replay" then
-           Some (n, items)
-         else None)
-       (Profile.spans p));
-  (* gating: a serial profile exports none of this *)
-  let serial = Profile.create ~clock () in
-  Profile.note_object_replay serial ~obj:"BA" 1;
-  Profile.finish serial;
-  let sreg = Metrics.create () in
-  Profile.export serial sreg;
-  Alcotest.(check (option (float 1e-9))) "no workers gauge when serial" None
-    (Metrics.gauge_value sreg "tm_recovery_workers");
-  let json = Tm_obs.Json.to_string (Profile.to_json serial) in
-  let contains hay needle =
-    let nl = String.length needle and hl = String.length hay in
-    let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
-    go 0
-  in
-  Helpers.check_bool "serial json has no partition keys" false
-    (contains json "partitions" || contains json "workers")
-
 (* The report side: tm_recovery_* samples in a metrics dump surface as
    the report's recovery section. *)
 let test_report_recovery_section () =
@@ -615,8 +559,6 @@ let suite =
       test_recover_with_profile;
     Alcotest.test_case "inspect a truncation-intent frame" `Quick
       test_inspect_truncate_intent;
-    Alcotest.test_case "profiler: partition accounting and gating" `Quick
-      test_profile_partitions;
     Alcotest.test_case "report surfaces the recovery section" `Quick
       test_report_recovery_section;
     Alcotest.test_case "2pc forensics on a mixed-shard image" `Quick
