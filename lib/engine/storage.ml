@@ -28,17 +28,28 @@ let check_pos ~who ~pos ~size =
   if pos < 0 || pos > size then
     invalid_arg (Fmt.str "Storage.write_at(%s): pos %d outside [0,%d]" who pos size)
 
+(* A growable buffer and its used length: an append copies only the new
+   bytes (doubling the buffer when it fills), so appends are amortised
+   O(1); [read_all] returns a copy the next write cannot change. *)
 let of_string ?(name = "memory") contents =
-  let contents = ref contents in
+  let buf = ref (Bytes.of_string contents) in
+  let len = ref (String.length contents) in
   {
     name;
     write_at =
       (fun ~pos data ->
-        check_pos ~who:name ~pos ~size:(String.length !contents);
-        contents := String.sub !contents 0 pos ^ data);
+        check_pos ~who:name ~pos ~size:!len;
+        let n = String.length data in
+        if pos + n > Bytes.length !buf then begin
+          let grown = Bytes.create (max (pos + n) (2 * Bytes.length !buf)) in
+          Bytes.blit !buf 0 grown 0 pos;
+          buf := grown
+        end;
+        Bytes.blit_string data 0 !buf pos n;
+        len := pos + n);
     force = (fun () -> ());
-    read_all = (fun () -> !contents);
-    size = (fun () -> String.length !contents);
+    read_all = (fun () -> Bytes.sub_string !buf 0 !len);
+    size = (fun () -> !len);
     close = (fun () -> ());
     fault_count = (fun () -> 0);
     attach = (fun _ -> ());

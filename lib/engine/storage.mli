@@ -44,7 +44,10 @@ val read_all : t -> string
 val size : t -> int
 val close : t -> unit
 
-(** In-memory backend (volatile; for tests and corruption sweeps). *)
+(** In-memory backend (volatile; for tests and corruption sweeps).  It
+    keeps a growable buffer, so appends cost amortised O(1) in the log
+    length; {!read_all} returns a copy that later writes leave
+    unchanged. *)
 val memory : ?name:string -> unit -> t
 
 (** In-memory backend pre-seeded with [contents]. *)

@@ -459,30 +459,59 @@ module Codec = struct
      before it can even read the version byte and dispatch. *)
   let min_header_size = 11
 
-  (* CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320). *)
+  (* CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320), slicing-by-8
+     on native ints: one flat table of eight 256-entry slices, where
+     slice [k] advances a byte's contribution past [k] further zero
+     bytes, so each step folds eight input bytes with eight lookups.
+     Bytes are loaded one at a time, which keeps the loop free of
+     allocation and of alignment or endianness concerns. *)
   let crc_table =
-    lazy
-      (Array.init 256 (fun n ->
-           let c = ref (Int32.of_int n) in
-           for _ = 0 to 7 do
-             c :=
-               if Int32.logand !c 1l <> 0l then
-                 Int32.logxor 0xEDB88320l (Int32.shift_right_logical !c 1)
-               else Int32.shift_right_logical !c 1
-           done;
-           !c))
+    let t = Array.make (8 * 256) 0 in
+    for n = 0 to 255 do
+      let c = ref n in
+      for _ = 0 to 7 do
+        c := if !c land 1 <> 0 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+      done;
+      t.(n) <- !c
+    done;
+    for k = 1 to 7 do
+      for n = 0 to 255 do
+        let prev = t.(((k - 1) * 256) + n) in
+        t.((k * 256) + n) <- (prev lsr 8) lxor t.(prev land 0xFF)
+      done
+    done;
+    t
 
-  let crc32 s =
-    let table = Lazy.force crc_table in
-    let c = ref 0xFFFFFFFFl in
-    String.iter
-      (fun ch ->
-        c :=
-          Int32.logxor
-            table.(Int32.to_int (Int32.logand (Int32.logxor !c (Int32.of_int (Char.code ch))) 0xFFl))
-            (Int32.shift_right_logical !c 8))
-      s;
-    Int32.logxor !c 0xFFFFFFFFl
+  (* Unchecked accesses for the loop below: table indices are masked to a
+     byte, and [crc32_sub] checks its range once up front. *)
+  let tab k i = Array.unsafe_get crc_table ((k lsl 8) lor i)
+  let byte s i = Char.code (String.unsafe_get s i)
+
+  let crc32_sub s off len =
+    if off < 0 || len < 0 || off > String.length s - len then
+      invalid_arg "Wal.Codec.crc32_sub";
+    let c = ref 0xFFFFFFFF in
+    let i = ref off in
+    let stop8 = off + (len land lnot 7) in
+    while !i < stop8 do
+      let p = !i and x = !c in
+      c :=
+        tab 7 ((x lxor byte s p) land 0xFF)
+        lxor tab 6 (((x lsr 8) lxor byte s (p + 1)) land 0xFF)
+        lxor tab 5 (((x lsr 16) lxor byte s (p + 2)) land 0xFF)
+        lxor tab 4 (((x lsr 24) lxor byte s (p + 3)) land 0xFF)
+        lxor tab 3 (byte s (p + 4))
+        lxor tab 2 (byte s (p + 5))
+        lxor tab 1 (byte s (p + 6))
+        lxor tab 0 (byte s (p + 7));
+      i := p + 8
+    done;
+    for p = stop8 to off + len - 1 do
+      c := (!c lsr 8) lxor tab 0 ((!c lxor byte s p) land 0xFF)
+    done;
+    !c lxor 0xFFFFFFFF
+
+  let crc32 s = Int32.of_int (crc32_sub s 0 (String.length s))
 
   (* --- payload writer --- *)
 
@@ -545,18 +574,22 @@ module Codec = struct
       invalid_arg "Wal.Codec.encode: v1 frames carry no shard id";
     if shard < 0 || shard > 0xFFFF then
       invalid_arg (Fmt.str "Wal.Codec.encode: shard %d out of range" shard);
-    let payload = Buffer.create 64 in
-    put_record payload r;
-    let payload = Buffer.contents payload in
-    let b = Buffer.create (header_size version + String.length payload) in
+    (* Header with the length and CRC fields zeroed, then the payload;
+       both fields are patched in place once the payload is known. *)
+    let h_size = header_size version in
+    let b = Buffer.create 64 in
     Buffer.add_char b magic0;
     Buffer.add_char b magic1;
     Buffer.add_char b (Char.chr version);
     if version = v2 then Buffer.add_uint16_le b shard;
-    Buffer.add_int32_le b (Int32.of_int (String.length payload));
-    Buffer.add_int32_le b (crc32 payload);
-    Buffer.add_string b payload;
-    Buffer.contents b
+    Buffer.add_int64_le b 0L;
+    put_record b r;
+    let frame = Buffer.to_bytes b in
+    let payload_len = Bytes.length frame - h_size in
+    Bytes.set_int32_le frame (h_size - 8) (Int32.of_int payload_len);
+    Bytes.set_int32_le frame (h_size - 4)
+      (Int32.of_int (crc32_sub (Bytes.unsafe_to_string frame) h_size payload_len));
+    Bytes.unsafe_to_string frame
 
   let encode_all ?version ?shard recs =
     String.concat "" (List.map (fun r -> encode ?version ?shard r) recs)
@@ -686,19 +719,25 @@ module Codec = struct
     | Error c -> Error c
     | Ok h -> (
         try
-          let expected = String.get_int32_le s (pos + h.h_size - 4) in
-          let payload = String.sub s (pos + h.h_size) h.h_payload_len in
+          let expected =
+            Int32.to_int (String.get_int32_le s (pos + h.h_size - 4)) land 0xFFFFFFFF
+          in
+          (* The payload is checked and parsed in place: the reader's
+             bounds are the payload's own extent within [s]. *)
+          let start = pos + h.h_size in
+          let stop = start + h.h_payload_len in
           let actual =
             match profile with
-            | None -> crc32 payload
+            | None -> crc32_sub s start h.h_payload_len
             | Some p ->
-                Profile.time p Profile.Checksum_verify (fun () -> crc32 payload)
+                Profile.time p Profile.Checksum_verify (fun () ->
+                    crc32_sub s start h.h_payload_len)
           in
           if actual <> expected then raise (Bad "crc mismatch");
-          let r = { src = payload; pos = 0; stop = h.h_payload_len } in
+          let r = { src = s; pos = start; stop } in
           let record = get_record r in
           if r.pos <> r.stop then raise (Bad "trailing bytes in payload");
-          Ok (record, pos + h.h_size + h.h_payload_len)
+          Ok (record, stop)
         with Bad reason ->
           Error { offset = pos; version = Some h.h_version; reason })
 

@@ -279,7 +279,15 @@ module Codec : sig
 
   val magic1 : char
 
-  (** CRC-32 (IEEE), exposed for tests. *)
+  (** [crc32_sub s off len] is the CRC-32 (IEEE) of the [len] bytes of
+      [s] starting at [off], as a non-negative native int below 2{^32}.
+      This is the frame checksum: {!decode_frame} verifies it in place
+      on the read buffer.  Raises [Invalid_argument] if the range is not
+      within [s]. *)
+  val crc32_sub : string -> int -> int -> int
+
+  (** [crc32 s] is {!crc32_sub} over all of [s], as the [int32] a frame
+      stores.  {!Wal_format} prints it for the golden frames. *)
   val crc32 : string -> int32
 
   (** [encode r] is the full frame (header + payload) for [r], encoded
@@ -329,8 +337,12 @@ module Codec : sig
 
   (** [decode_frame s pos] decodes the single frame starting at byte
       [pos]: [Ok (record, next_pos)] or the corruption that makes it
-      unreadable.  The forensic walker ({!Wal_inspect}) uses this to
-      attribute each record to its byte extent.  With [profile], CRC
+      unreadable.  The CRC is checked and the payload parsed in place
+      in [s], never past the frame's own payload: a length field that
+      overruns the payload is corruption at [pos], even when the bytes
+      it would reach belong to a later frame.  The forensic walker
+      ({!Wal_inspect}) uses this to attribute each record to its byte
+      extent.  With [profile], CRC
       verification is charged to the [Checksum_verify] phase. *)
   val decode_frame :
     ?profile:Tm_obs.Recovery_profile.t ->

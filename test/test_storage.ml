@@ -114,6 +114,112 @@ let prop_bit_flip =
         | Ok d -> is_record_prefix d.Codec.records rs
       end)
 
+(* ------------------------------------------------------------------ *)
+(* CRC-32.                                                             *)
+
+(* Table-less bitwise CRC-32 (IEEE, reflected 0xEDB88320): the reference
+   the codec's slicing-by-8 implementation must agree with. *)
+let reference_crc32 s off len =
+  let c = ref 0xFFFFFFFF in
+  for i = off to off + len - 1 do
+    c := !c lxor Char.code s.[i];
+    for _ = 1 to 8 do
+      c := if !c land 1 = 1 then (!c lsr 1) lxor 0xEDB88320 else !c lsr 1
+    done
+  done;
+  !c lxor 0xFFFFFFFF
+
+let test_crc32_known_answers () =
+  Alcotest.(check int32) "check value" 0xCBF43926l (Codec.crc32 "123456789");
+  Alcotest.(check int32) "empty" 0l (Codec.crc32 "");
+  Helpers.check_int "native check value" 0xCBF43926
+    (Codec.crc32_sub "xx123456789yy" 2 9);
+  Alcotest.check_raises "range outside the string"
+    (Invalid_argument "Wal.Codec.crc32_sub") (fun () ->
+      ignore (Codec.crc32_sub "abc" 2 2))
+
+(* Offsets and lengths 0-64 run the 8-byte loop, the tail loop, and
+   both together, from any starting offset. *)
+let prop_crc32_matches_reference =
+  Helpers.qcheck ~count:500 "crc32_sub = bitwise reference CRC-32"
+    QCheck2.Gen.(
+      triple (int_bound 64) (int_bound 64) (int_bound 8) >>= fun (off, len, extra) ->
+      map (fun s -> (s, off, len)) (string_size (return (off + len + extra))))
+    (fun (s, off, len) ->
+      let expected = reference_crc32 s off len in
+      Codec.crc32_sub s off len = expected
+      && Codec.crc32 (String.sub s off len) = Int32.of_int expected)
+
+(* A frame whose stored CRC has bit 31 set reads back as a negative
+   int32: decode must still compare it equal to the native checksum. *)
+let test_crc_top_bit_round_trip () =
+  let hdr = Codec.header_size Codec.write_version in
+  let top_bit frame = Char.code frame.[hdr - 1] land 0x80 <> 0 in
+  let r, frame =
+    Seq.ints 0
+    |> Seq.map (fun i ->
+           let r = Wal.Operation (Tid.of_int i, BA.deposit i) in
+           (r, Codec.encode r))
+    |> Seq.filter (fun (_, frame) -> top_bit frame)
+    |> Seq.uncons |> Option.get |> fst
+  in
+  Helpers.check_bool "stored CRC is a negative int32" true
+    (Int32.compare (String.get_int32_le frame (hdr - 4)) 0l < 0);
+  match Codec.decode_frame frame 0 with
+  | Error c -> Alcotest.failf "top-bit CRC refused: %a" Codec.pp_corruption c
+  | Ok (r', next) ->
+      Helpers.check_bool "record round trips" true (Wal.equal_record r r');
+      Helpers.check_int "next frame offset" (String.length frame) next
+
+(* A v2 frame around [payload] with a correct length and CRC. *)
+let reframe payload =
+  let b = Buffer.create 64 in
+  Buffer.add_string b "\xd7W\x02\x00\x00";
+  Buffer.add_int32_le b (Int32.of_int (String.length payload));
+  Buffer.add_int32_le b (Codec.crc32 payload);
+  Buffer.add_string b payload;
+  Buffer.contents b
+
+let payload_of frame =
+  let hdr = Codec.header_size (Char.code frame.[2]) in
+  String.sub frame hdr (String.length frame - hdr)
+
+(* The payload reader works in place on the whole log buffer, so its
+   bounds must be the frame's own payload: a CRC-valid frame whose inner
+   length field runs past its payload (into the next frame) is refused
+   at its own offset, and so is one with bytes left over. *)
+let test_frame_reader_stays_in_payload () =
+  let before = Codec.encode (Wal.Begin Tid.a) in
+  let after =
+    Codec.encode_all [ Wal.Commit Tid.a; Wal.Begin Tid.b; Wal.Commit Tid.b ]
+  in
+  let refused ~reason bad =
+    let buf = before ^ bad ^ after in
+    (match Codec.decode_frame buf (String.length before) with
+    | Ok _ -> Alcotest.failf "%s: frame decoded" reason
+    | Error c ->
+        Helpers.check_int (reason ^ ": offset") (String.length before) c.Codec.offset;
+        Alcotest.(check string) (reason ^ ": reason") reason c.Codec.reason);
+    match Codec.decode_all buf with
+    | Ok _ -> Alcotest.failf "%s: log decoded" reason
+    | Error c ->
+        Helpers.check_int (reason ^ ": log offset") (String.length before)
+          c.Codec.offset
+  in
+  (* The payload ends with a string result: tag, 8-byte length, "ok".
+     Claim 5 bytes more than the payload holds; the buffer has plenty
+     more after it, so only the payload bound can refuse the length. *)
+  let op =
+    { Op.obj = "acct"; inv = { Op.name = "f"; args = [] }; res = Value.Str "ok" }
+  in
+  let payload =
+    Bytes.of_string (payload_of (Codec.encode (Wal.Operation (Tid.a, op))))
+  in
+  Bytes.set_int64_le payload (Bytes.length payload - 10) 7L;
+  refused ~reason:"implausible length" (reframe (Bytes.to_string payload));
+  refused ~reason:"trailing bytes in payload"
+    (reframe (payload_of (Codec.encode (Wal.Commit Tid.a)) ^ "\000"))
+
 let sample_records =
   [
     Wal.Begin Tid.a;
@@ -370,7 +476,23 @@ let test_memory_semantics () =
     (Invalid_argument "Storage.write_at(memory): pos 9 outside [0,4]") (fun () ->
       Storage.write_at s ~pos:9 "z");
   let seeded = Storage.of_string "abc" in
-  Helpers.check_int "seeded size" 3 (Storage.size seeded)
+  Helpers.check_int "seeded size" 3 (Storage.size seeded);
+  (* read_all is a snapshot: later writes, appends or interior
+     overwrites, leave a returned string as it was. *)
+  let snapshot = Storage.read_all seeded in
+  Storage.write_at seeded ~pos:3 "defgh";
+  Storage.write_at seeded ~pos:1 "XY";
+  Alcotest.(check string) "snapshot unchanged" "abc" snapshot;
+  Alcotest.(check string) "interior write truncates after it" "aXY"
+    (Storage.read_all seeded);
+  (* Many appends grow the buffer; the contents are exactly the writes. *)
+  let grown = Storage.memory () in
+  let chunks =
+    List.init 200 (fun i -> String.make ((i mod 7) + 1) (Char.chr (65 + (i mod 26))))
+  in
+  List.iter (fun c -> Storage.write_at grown ~pos:(Storage.size grown) c) chunks;
+  Alcotest.(check string) "appends concatenate" (String.concat "" chunks)
+    (Storage.read_all grown)
 
 let test_file_backend () =
   let path = Filename.temp_file "tm_storage" ".wal" in
@@ -678,6 +800,12 @@ let suite =
     prop_mixed_version_roundtrip;
     prop_truncation;
     prop_bit_flip;
+    Alcotest.test_case "crc32 known answers" `Quick test_crc32_known_answers;
+    prop_crc32_matches_reference;
+    Alcotest.test_case "crc with top bit set round trips" `Quick
+      test_crc_top_bit_round_trip;
+    Alcotest.test_case "frame reader stays inside its payload" `Quick
+      test_frame_reader_stays_in_payload;
     Alcotest.test_case "codec frame shape" `Quick test_codec_frame_shape;
     Alcotest.test_case "codec torn tail" `Quick test_codec_torn_tail;
     Alcotest.test_case "codec interior corruption" `Quick
