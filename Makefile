@@ -1,7 +1,7 @@
 # Convenience targets; `make check` is what CI runs.
 
 .PHONY: all check test bench baseline benchdiff crashtest faulttest \
-  shardtest stresstest report shardreport walsmoke metricsdoc metricsdoc-check golden \
+  shardtest crashcheck stresstest report shardreport walsmoke metricsdoc metricsdoc-check golden \
   walformatdoc walformatdoc-check clean
 
 all:
@@ -38,6 +38,28 @@ faulttest:
 shardtest:
 	dune exec bin/crashtest.exe -- --shards 4
 	dune exec bin/crashtest.exe -- --shards 4 --fault --seed 11 -n 10
+
+# The four CI crash tortures with their sweep sizes pinned: each run
+# must exit 0 and print exactly the summary checked in under
+# test/golden/crashtest/ (the sharded runs are verbose, since only their
+# per-mix lines carry the byte-cut, forced-state and evidence-check
+# counts).  A sweep that silently shrinks fails here.  After an
+# intentional change to a sweep, rerun and commit the new summaries.
+CRASH_GOLDEN = test/golden/crashtest
+CRASH_OUT = _report/crashtest
+crashcheck:
+	dune build bin/crashtest.exe
+	mkdir -p $(CRASH_OUT)
+	dune exec bin/crashtest.exe > $(CRASH_OUT)/records.txt
+	diff $(CRASH_GOLDEN)/records.txt $(CRASH_OUT)/records.txt
+	dune exec bin/crashtest.exe -- --fault --seed 11 --group-commit 4 \
+	  > $(CRASH_OUT)/fault.txt
+	diff $(CRASH_GOLDEN)/fault.txt $(CRASH_OUT)/fault.txt
+	dune exec bin/crashtest.exe -- --shards 4 -v > $(CRASH_OUT)/shards.txt
+	diff $(CRASH_GOLDEN)/shards.txt $(CRASH_OUT)/shards.txt
+	dune exec bin/crashtest.exe -- --shards 4 --fault --seed 11 -n 10 -v \
+	  > $(CRASH_OUT)/shards_fault.txt
+	diff $(CRASH_GOLDEN)/shards_fault.txt $(CRASH_OUT)/shards_fault.txt
 
 # Threaded group-commit stress with a pinned seed: OS threads against
 # the durable engine over slow storage; fails if any transaction is

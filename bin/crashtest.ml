@@ -3,10 +3,10 @@
    For each scenario x setup, a small concurrent workload is driven
    through a Durable_database with a fuzzy checkpoint taken mid-run;
    then Crash.torture crashes at every append point of the resulting
-   log and checks the three recovery invariants (replay legality /
-   dynamic atomicity, prefix stability, idempotence through a
-   post-recovery checkpoint + truncation).  Exits non-zero on any
-   violation, so CI can gate on it.
+   log and checks the recovery invariants (replay legality, dynamic
+   atomicity, prefix stability, recovered state = replay, idempotence
+   through a post-recovery checkpoint + truncation).  Exits non-zero on
+   any violation, so CI can gate on it.
 
    --fault switches to storage-level torture of the on-disk format:
    byte-granularity crash cuts over the encoded log, a bit-flip
@@ -72,37 +72,59 @@ let say ~verbose fmt =
       if verbose then Fmt.pr "%s@." s)
     fmt
 
+(* Failures across the whole run: failing sweeps and failed checks. *)
+let failures = ref 0
+
+let fail fmt =
+  incr failures;
+  say ~verbose:true fmt
+
+(* Per named sweep, the crash states and atomicity checks summed over
+   every combination it ran on. *)
+let totals : (string, int * int) Hashtbl.t = Hashtbl.create 8
+let total name = Option.value (Hashtbl.find_opt totals name) ~default:(0, 0)
+
+(* Run named sweeps, print each report (always when it failed), count
+   failing sweeps and add their sizes to [totals]. *)
+let run_sweeps ~verbose ~label sweeps =
+  List.iter
+    (fun (name, sweep) ->
+      let r = sweep () in
+      let states, checked = total name in
+      Hashtbl.replace totals name
+        (states + r.Crash.states, checked + r.Crash.atomicity_checked);
+      if not (Crash.ok r) then incr failures;
+      say ~verbose:(verbose || not (Crash.ok r)) "%s %-8s %a" label name
+        Crash.pp_report r)
+    sweeps
+
+let combos scenarios =
+  List.concat_map (fun s -> List.map (fun setup -> (s, setup)) setups) scenarios
+
+let combo_label (scenario : Experiment.scenario) setup =
+  Fmt.str "%-24s %-10s" scenario.Experiment.name (Experiment.label setup)
+
 (* ------------------------------------------------------------------ *)
 (* Default mode: record-granularity torture.                           *)
 
 let record_mode ~verbose ~record_trace cfg checkpoint_every scenarios =
-  let failures = ref 0 in
-  let total_cuts = ref 0 in
-  let total_checked = ref 0 in
   List.iter
-    (fun (scenario : Experiment.scenario) ->
-      List.iter
-        (fun setup ->
-          let row, wal =
-            Experiment.run_durable ~record_trace ~checkpoint_every scenario setup cfg
-          in
-          rows := row :: !rows;
-          last_log := Some (Wal.records wal);
-          let rebuild () = scenario.Experiment.build setup in
-          let report = Crash.torture ~rebuild wal in
-          total_cuts := !total_cuts + report.Crash.cuts;
-          total_checked := !total_checked + report.Crash.atomicity_checked;
-          if not (Crash.ok report) then incr failures;
-          say ~verbose:(verbose || not (Crash.ok report)) "%-24s %-10s %a"
-            scenario.Experiment.name (Experiment.label setup) Crash.pp_report report)
-        setups)
-    scenarios;
+    (fun ((scenario : Experiment.scenario), setup) ->
+      let row, wal =
+        Experiment.run_durable ~record_trace ~checkpoint_every scenario setup cfg
+      in
+      rows := row :: !rows;
+      last_log := Some (Wal.records wal);
+      let rebuild () = scenario.Experiment.build setup in
+      run_sweeps ~verbose ~label:(combo_label scenario setup)
+        [ ("records:", fun () -> Crash.torture ~rebuild wal) ])
+    (combos scenarios);
+  let states, checked = total "records:" in
   say ~verbose:true
     "crashtest: %d scenario x setup combinations, %d crash points (%d \
      atomicity-checked), %d with violations"
-    (List.length scenarios * List.length setups)
-    !total_cuts !total_checked !failures;
-  !failures
+    (List.length (combos scenarios))
+    states checked !failures
 
 (* ------------------------------------------------------------------ *)
 (* --fault mode: byte-granularity cuts, corruption sweeps, and a
@@ -110,134 +132,82 @@ let record_mode ~verbose ~record_trace cfg checkpoint_every scenarios =
 
 let fault_mode ~verbose ~record_trace cfg checkpoint_every seed
     group_commit scenarios =
-  let failures = ref 0 in
-  let total_cuts = ref 0 in
-  let total_trunc_cuts = ref 0 in
-  let total_upgrade_cuts = ref 0 in
-  let total_batch_cuts = ref 0 in
-  let total_flips = ref 0 in
   let total_retries = ref 0 in
   let total_faults = ref 0 in
   List.iter
-    (fun (scenario : Experiment.scenario) ->
-      List.iter
-        (fun setup ->
-          let rebuild () = scenario.Experiment.build setup in
-          let combo = Fmt.str "%-24s %-10s" scenario.Experiment.name (Experiment.label setup) in
-
-          (* 1. Drive the workload onto real (in-memory-backed) storage
-             through the framing codec, fault-free, batching durability
-             every [group_commit] commits. *)
-          let clean_store = Storage.memory () in
-          let clean_dw = Disk_wal.create clean_store in
-          let row, wal =
-            Experiment.run_durable ~record_trace ~wal:(Disk_wal.wal clean_dw)
-              ~checkpoint_every ~group_commit scenario setup cfg
-          in
-          rows := row :: !rows;
-          last_log := Some (Wal.records wal);
-
-          (* 2. Byte-granularity crash cuts over the encoded log. *)
-          let report = Crash.torture_bytes ~rebuild wal in
-          total_cuts := !total_cuts + report.Crash.cuts;
-          if not (Crash.ok report) then incr failures;
-          say ~verbose:(verbose || not (Crash.ok report)) "%s bytes:  %a" combo
-            Crash.pp_report report;
-
-          (* 2a. Truncation torture: crash at every byte offset of the
-             crash-atomic log compaction (journal + install) and demand
-             the recovered state never changes. *)
-          let trunc = Crash.torture_truncation ~rebuild wal in
-          total_trunc_cuts := !total_trunc_cuts + trunc.Crash.cuts;
-          if not (Crash.ok trunc) then incr failures;
-          say ~verbose:(verbose || not (Crash.ok trunc)) "%s trunc:  %a" combo
-            Crash.pp_report trunc;
-
-          (* 2a'. Upgrade torture: the same compaction crash sweep, but
-             starting from the log encoded in the previous on-disk format
-             (v1) and rewriting it in the current one — every cut must
-             leave a readable mixed-version log that recovers to the same
-             state, with zero acknowledged commits lost. *)
-          let upg = Crash.torture_upgrade ~rebuild wal in
-          total_upgrade_cuts := !total_upgrade_cuts + upg.Crash.cuts;
-          if not (Crash.ok upg) then incr failures;
-          say ~verbose:(verbose || not (Crash.ok upg)) "%s upgrade: %a" combo
-            Crash.pp_report upg;
-
-          (* 2b. Batch-prefix torture: cuts inside a group-commit batch
-             must recover a prefix of the batch's commit order and never
-             lose a commit acknowledged at a flush frontier. *)
-          let batch = Crash.torture_batched ~group_every:group_commit wal in
-          total_batch_cuts := !total_batch_cuts + batch.Crash.byte_cuts;
-          if not (Crash.batch_ok batch) then incr failures;
-          say ~verbose:(verbose || not (Crash.batch_ok batch)) "%s batch:  %a" combo
-            Crash.pp_batch_report batch;
-
-          (* 3. Bit-flip corruption sweep: detected or contained, never
-             silent. *)
-          let sweep = Crash.corruption_sweep wal in
-          total_flips := !total_flips + sweep.Crash.flips;
-          if not (Crash.sweep_ok sweep) then incr failures;
-          say ~verbose:(verbose || not (Crash.sweep_ok sweep)) "%s flips:  %a" combo
-            Crash.pp_sweep_report sweep;
-
-          (* 4. The same workload against storage dealing seeded torn
-             writes and transient errors: the retry loop must absorb
-             them and commit the identical log. *)
-          let inner = Storage.memory () in
-          let faulty = Storage.faulty ~seed Storage.write_faults inner in
-          let faulty_dw = Disk_wal.create faulty in
-          let frow, fwal =
-            Experiment.run_durable ~wal:(Disk_wal.wal faulty_dw) ~checkpoint_every
-              ~group_commit scenario setup cfg
-          in
-          let retries =
-            Metrics.counter_value frow.Experiment.metrics "tm_storage_retries_total"
-          in
-          total_retries := !total_retries + retries;
-          total_faults := !total_faults + Storage.fault_count faulty;
-          let identical =
-            List.equal Wal.equal_record (Wal.records wal) (Wal.records fwal)
-          in
-          if not identical then begin
-            incr failures;
-            say ~verbose:true "%s faults: DIVERGED from fault-free run" combo
-          end;
-          (* The bytes that actually reached the (clean) inner store must
-             reload to the same log — torn prefixes were overwritten. *)
-          (match Disk_wal.load inner with
-          | Error c ->
-              incr failures;
-              say ~verbose:true "%s faults: persisted log CORRUPT: %a" combo
-                Wal.Codec.pp_corruption c
-          | Ok reloaded ->
-              if
-                not
-                  (List.equal Wal.equal_record (Wal.records wal)
-                     (Wal.records (Disk_wal.wal reloaded)))
-              then begin
-                incr failures;
-                say ~verbose:true "%s faults: reloaded log DIVERGED" combo
-              end);
-          say ~verbose:(verbose && identical)
-            "%s faults: %d injected, %d retries, committed state identical" combo
-            (Storage.fault_count faulty) retries)
-        setups)
-    scenarios;
+    (fun ((scenario : Experiment.scenario), setup) ->
+      let rebuild () = scenario.Experiment.build setup in
+      let combo = combo_label scenario setup in
+      (* 1. Drive the workload onto real (in-memory-backed) storage
+         through the framing codec, fault-free, batching durability
+         every [group_commit] commits. *)
+      let clean_store = Storage.memory () in
+      let clean_dw = Disk_wal.create clean_store in
+      let row, wal =
+        Experiment.run_durable ~record_trace ~wal:(Disk_wal.wal clean_dw)
+          ~checkpoint_every ~group_commit scenario setup cfg
+      in
+      rows := row :: !rows;
+      last_log := Some (Wal.records wal);
+      (* 2. The storage sweeps: byte-granularity crash cuts; crash cuts
+         at every byte of the crash-atomic log compaction, from the
+         current format and from the previous (v1) one; cuts inside
+         group-commit batches; and a bit-flip corruption sweep. *)
+      run_sweeps ~verbose ~label:combo
+        [
+          ("bytes:", fun () -> Crash.torture_bytes ~rebuild wal);
+          ("trunc:", fun () -> Crash.torture_truncation ~rebuild wal);
+          ("upgrade:", fun () -> Crash.torture_upgrade ~rebuild wal);
+          ( "batch:",
+            fun () -> Crash.torture_batched ~rebuild ~group_every:group_commit wal );
+          ("flips:", fun () -> Crash.corruption_sweep wal);
+        ];
+      (* 3. The same workload against storage dealing seeded torn
+         writes and transient errors: the retry loop must absorb
+         them and commit the identical log. *)
+      let inner = Storage.memory () in
+      let faulty = Storage.faulty ~seed Storage.write_faults inner in
+      let faulty_dw = Disk_wal.create faulty in
+      let frow, fwal =
+        Experiment.run_durable ~wal:(Disk_wal.wal faulty_dw) ~checkpoint_every
+          ~group_commit scenario setup cfg
+      in
+      let retries =
+        Metrics.counter_value frow.Experiment.metrics "tm_storage_retries_total"
+      in
+      total_retries := !total_retries + retries;
+      total_faults := !total_faults + Storage.fault_count faulty;
+      let identical =
+        List.equal Wal.equal_record (Wal.records wal) (Wal.records fwal)
+      in
+      if not identical then fail "%s faults: DIVERGED from fault-free run" combo;
+      (* The bytes that actually reached the (clean) inner store must
+         reload to the same log — torn prefixes were overwritten. *)
+      (match Disk_wal.load inner with
+      | Error c ->
+          fail "%s faults: persisted log CORRUPT: %a" combo Wal.Codec.pp_corruption c
+      | Ok reloaded ->
+          if
+            not
+              (List.equal Wal.equal_record (Wal.records wal)
+                 (Wal.records (Disk_wal.wal reloaded)))
+          then fail "%s faults: reloaded log DIVERGED" combo);
+      say ~verbose:(verbose && identical)
+        "%s faults: %d injected, %d retries, committed state identical" combo
+        (Storage.fault_count faulty) retries)
+    (combos scenarios);
   (* The sweep is vacuous if the fault dice never fired: fail loudly so a
      mis-seeded CI run cannot pass by doing nothing. *)
-  if !total_retries = 0 then begin
-    incr failures;
-    say ~verbose:true "crashtest --fault: NO transient faults were injected/retried"
-  end;
+  if !total_retries = 0 then
+    fail "crashtest --fault: NO transient faults were injected/retried";
+  let states name = fst (total name) in
   say ~verbose:true
     "crashtest --fault: %d combinations, %d byte cuts (+%d truncation cuts, +%d \
      upgrade cuts, +%d batch-prefix cuts, group commit %d), %d bit flips, %d \
      faults injected, %d retries absorbed, %d failures"
-    (List.length scenarios * List.length setups)
-    !total_cuts !total_trunc_cuts !total_upgrade_cuts !total_batch_cuts
-    group_commit !total_flips !total_faults !total_retries !failures;
-  !failures
+    (List.length (combos scenarios))
+    (states "bytes:") (states "trunc:") (states "upgrade:") (states "batch:")
+    group_commit (states "flips:") !total_faults !total_retries !failures
 
 (* ------------------------------------------------------------------ *)
 (* --shards mode: multi-WAL torture of the sharded engine's 2PC.       *)
@@ -305,28 +275,26 @@ let drive_sharded ~txns ~cross_pct ~checkpoint_every ~seed db =
       | Error _ -> ()
   done
 
-let sharded_committed db =
-  List.map
-    (fun o -> (Atomic_object.name o, Atomic_object.committed_ops o))
-    (Sharded_database.objects db)
+let same_committed db1 db2 =
+  let committed db = Crash.committed_ops (Sharded_database.objects db) in
+  List.equal
+    (fun (n1, ops1) (n2, ops2) -> String.equal n1 n2 && List.equal Op.equal ops1 ops2)
+    (committed db1) (committed db2)
 
 let sharded_mode ~verbose ~shards ~txns ~seed ~checkpoint_every ~fault
     ~audit_file () =
-  let failures = ref 0 in
   let rebuild = sharded_rebuild ~shards in
   (* Torture at two workload mixes: mostly-local (the fast path with
      occasional 2PC) and all-cross (every commit is a 2PC). *)
-  List.iter
-    (fun cross_pct ->
-      let drive =
-        drive_sharded ~txns ~cross_pct ~checkpoint_every ~seed
-      in
-      let report = Crash.torture_sharded ~shards ~rebuild ~drive () in
-      if not (Crash.sharded_ok report) then incr failures;
-      say ~verbose:(verbose || not (Crash.sharded_ok report))
-        "sharded x%d cross=%d%%: %a" shards cross_pct Crash.pp_sharded_report
-        report)
-    [ 30; 100 ];
+  run_sweeps ~verbose ~label:(Fmt.str "sharded x%d" shards)
+    (List.map
+       (fun cross_pct ->
+         ( Fmt.str "cross=%d%%:" cross_pct,
+           fun () ->
+             Crash.torture_sharded ~shards ~rebuild
+               ~drive:(drive_sharded ~txns ~cross_pct ~checkpoint_every ~seed)
+               () ))
+       [ 30; 100 ]);
   (* Disk-backed leg: the same workload onto per-shard Disk_wals (every
      frame stamped with its shard id), reloaded and recovered. *)
   let run_disk ~wrap =
@@ -348,9 +316,7 @@ let sharded_mode ~verbose ~shards ~txns ~seed ~checkpoint_every ~fault
       match s.Wal_inspect.by_shard with
       | [ (id, _) ] when id = i -> ()
       | got ->
-          incr failures;
-          say ~verbose:true "sharded x%d: shard %d frames stamped %a, want [(%d,_)]"
-            shards i
+          fail "sharded x%d: shard %d frames stamped %a, want [(%d,_)]" shards i
             Fmt.(list ~sep:comma (pair ~sep:(any ":") int int))
             got i)
     clean_stores;
@@ -363,29 +329,16 @@ let sharded_mode ~verbose ~shards ~txns ~seed ~checkpoint_every ~fault
          | Error c -> Fmt.failwith "reload: %a" Wal.Codec.pp_corruption c)
        clean_stores
    with
-  | exception Failure msg ->
-      incr failures;
-      say ~verbose:true "sharded x%d: persisted log CORRUPT: %s" shards msg
+  | exception Failure msg -> fail "sharded x%d: persisted log CORRUPT: %s" shards msg
   | reloaded -> (
       match Sharded_database.recover ~wals:reloaded ~rebuild () with
       | Error e ->
-          incr failures;
-          say ~verbose:true "sharded x%d: recovery from disk failed: %a" shards
-            Recovery.pp_error e
+          fail "sharded x%d: recovery from disk failed: %a" shards Recovery.pp_error e
       | Ok (rdb, _) ->
-          let same =
-            List.for_all2
-              (fun (n1, o1) (n2, o2) ->
-                String.equal n1 n2 && List.equal Op.equal o1 o2)
-              (sharded_committed clean_db) (sharded_committed rdb)
-          in
-          if not same then begin
-            incr failures;
-            say ~verbose:true
-              "sharded x%d: state recovered from disk DIVERGED from the live \
-               engine"
-              shards
-          end));
+          if not (same_committed clean_db rdb) then
+            fail
+              "sharded x%d: state recovered from disk DIVERGED from the live engine"
+              shards));
   (* Fault leg: the identical workload over storage dealing seeded torn
      writes and transient errors must persist the identical per-shard
      logs. *)
@@ -405,14 +358,8 @@ let sharded_mode ~verbose ~shards ~txns ~seed ~checkpoint_every ~fault
         (fun cw fw -> List.equal Wal.equal_record (Wal.records cw) (Wal.records fw))
         clean_wals fwals
     in
-    if not identical then begin
-      incr failures;
-      say ~verbose:true "sharded x%d faults: DIVERGED from fault-free run" shards
-    end;
-    if injected = 0 then begin
-      incr failures;
-      say ~verbose:true "sharded x%d faults: NO faults were injected" shards
-    end;
+    if not identical then fail "sharded x%d faults: DIVERGED from fault-free run" shards;
+    if injected = 0 then fail "sharded x%d faults: NO faults were injected" shards;
     say ~verbose:(verbose && identical)
       "sharded x%d faults: %d injected across %d shard stores, logs identical"
       shards injected shards
@@ -444,11 +391,8 @@ let sharded_mode ~verbose ~shards ~txns ~seed ~checkpoint_every ~fault
   let deposit n = Op.invocation ~args:[ Value.int n ] "deposit" in
   ignore (Sharded_database.invoke db tid ~obj:o1 (deposit 21));
   ignore (Sharded_database.invoke db tid ~obj:o2 (deposit 34));
-  (match Sharded_database.try_commit db tid with
-  | Ok () -> ()
-  | Error _ ->
-      incr failures;
-      say ~verbose:true "sharded x%d harvest: cross-shard commit failed" shards);
+  if Result.is_error (Sharded_database.try_commit db tid) then
+    fail "sharded x%d harvest: cross-shard commit failed" shards;
   Sharded_database.flush db;
   let cut recs =
     let rec go acc = function
@@ -469,11 +413,8 @@ let sharded_mode ~verbose ~shards ~txns ~seed ~checkpoint_every ~fault
   let in_doubt =
     List.fold_left (fun n s -> n + List.length s.Wal_inspect.tp_in_doubt) 0 tp
   in
-  if in_doubt = 0 then begin
-    incr failures;
-    say ~verbose:true "sharded x%d harvest: cut image has NO in-doubt prepares"
-      shards
-  end;
+  if in_doubt = 0 then
+    fail "sharded x%d harvest: cut image has NO in-doubt prepares" shards;
   let audit_events = ref [] in
   (match
      Sharded_database.recover
@@ -481,10 +422,7 @@ let sharded_mode ~verbose ~shards ~txns ~seed ~checkpoint_every ~fault
        ~wals:(Array.map Wal.of_records cut_recs)
        ~rebuild ()
    with
-  | Error e ->
-      incr failures;
-      say ~verbose:true "sharded x%d harvest: recovery failed: %a" shards
-        Recovery.pp_error e
+  | Error e -> fail "sharded x%d harvest: recovery failed: %a" shards Recovery.pp_error e
   | Ok (rdb, _) ->
       if
         not
@@ -493,36 +431,17 @@ let sharded_mode ~verbose ~shards ~txns ~seed ~checkpoint_every ~fault
                ev.Two_phase.ev_commit
                && ev.Two_phase.ev_evidence = Two_phase.Decision_record)
              !audit_events)
-      then begin
-        incr failures;
-        say ~verbose:true
-          "sharded x%d harvest: audit trail has no decision-evidence commit"
-          shards
-      end;
+      then fail "sharded x%d harvest: audit trail has no decision-evidence commit" shards;
       let resolved =
         Metrics.counter_value
           (Sharded_database.metrics rdb)
           ~labels:[ ("evidence", "decision"); ("outcome", "commit") ]
           "tm_2pc_resolved_total"
       in
-      if resolved = 0 then begin
-        incr failures;
-        say ~verbose:true
-          "sharded x%d harvest: tm_2pc_resolved_total{decision,commit} is 0"
-          shards
-      end;
-      let same =
-        List.for_all2
-          (fun (n1, ops1) (n2, ops2) ->
-            String.equal n1 n2 && List.equal Op.equal ops1 ops2)
-          (sharded_committed db) (sharded_committed rdb)
-      in
-      if not same then begin
-        incr failures;
-        say ~verbose:true
-          "sharded x%d harvest: recovered state DIVERGED from pre-crash state"
-          shards
-      end);
+      if resolved = 0 then
+        fail "sharded x%d harvest: tm_2pc_resolved_total{decision,commit} is 0" shards;
+      if not (same_committed db rdb) then
+        fail "sharded x%d harvest: recovered state DIVERGED from pre-crash state" shards);
   say ~verbose:true
     "sharded x%d harvest: %d in-doubt prepares across %d shards, %d audit \
      events"
@@ -538,8 +457,7 @@ let sharded_mode ~verbose ~shards ~txns ~seed ~checkpoint_every ~fault
           output_string oc (Two_phase.events_to_jsonl !audit_events));
       Fmt.pr "wrote 2PC audit trail to %s@." file)
     audit_file;
-  say ~verbose:true "crashtest --shards %d: %d failures" shards !failures;
-  !failures
+  say ~verbose:true "crashtest --shards %d: %d failures" shards !failures
 
 let main filter txns concurrency seed checkpoint_every fault group_commit
     report_file trace_file metrics_file audit_file keep_log keep_log_version
@@ -566,15 +484,11 @@ let main filter txns concurrency seed checkpoint_every fault group_commit
     Fmt.epr "--audit requires --shards (the 2PC audit trail is sharded-only)@.";
     exit 1
   end;
-  let failures =
-    if shards > 0 then
-      sharded_mode ~verbose ~shards ~txns ~seed ~checkpoint_every ~fault
-        ~audit_file ()
-    else if fault then
-      fault_mode ~verbose ~record_trace cfg checkpoint_every seed
-        group_commit scenarios
-    else record_mode ~verbose ~record_trace cfg checkpoint_every scenarios
-  in
+  if shards > 0 then
+    sharded_mode ~verbose ~shards ~txns ~seed ~checkpoint_every ~fault ~audit_file ()
+  else if fault then
+    fault_mode ~verbose ~record_trace cfg checkpoint_every seed group_commit scenarios
+  else record_mode ~verbose ~record_trace cfg checkpoint_every scenarios;
   (match report_file with
   | None -> ()
   | Some file ->
@@ -607,7 +521,7 @@ let main filter txns concurrency seed checkpoint_every fault group_commit
         (String.length bytes) keep_log_version file
   | Some file, None, None -> Fmt.epr "--keep-log %s: no run produced a log@." file
   | None, _, _ -> ());
-  if failures > 0 then exit 1
+  if !failures > 0 then exit 1
 
 open Cmdliner
 

@@ -89,7 +89,7 @@ let test_torture_clean_run () =
     (Fmt.str "no violations: %a" Crash.pp_report report)
     true (Crash.ok report);
   Helpers.check_bool "every cut atomicity-checked" true
-    (report.Crash.atomicity_checked = report.Crash.cuts)
+    (report.Crash.atomicity_checked = report.Crash.states)
 
 let test_torture_detects_corrupt_log () =
   (* Sanity that the harness can fail: a log whose commit record arrives
@@ -131,17 +131,18 @@ let test_torture_bytes_clean () =
     true (Crash.ok report);
   (* Byte cuts strictly outnumber record cuts: most land inside frames. *)
   Helpers.check_bool "more cuts than records" true
-    (report.Crash.cuts > Wal.length wal + 1)
+    (report.Crash.states > Wal.length wal + 1)
 
 let test_corruption_sweep_contained () =
   let wal = driven_wal () in
   let sweep = Crash.corruption_sweep wal in
   Helpers.check_bool
-    (Fmt.str "nothing silent: %a" Crash.pp_sweep_report sweep)
-    true (Crash.sweep_ok sweep);
+    (Fmt.str "nothing silent: %a" Crash.pp_report sweep)
+    true (Crash.ok sweep);
   Helpers.check_bool "interior corruption was detected" true
-    (sweep.Crash.interior_detected > 0);
-  Helpers.check_bool "tail flips were contained" true (sweep.Crash.tail_losses > 0)
+    (Crash.counter sweep "interior" > 0);
+  Helpers.check_bool "tail flips were contained" true
+    (Crash.counter sweep "tail losses" > 0)
 
 (* --- truncation torture: crash-atomic compaction byte sweep --- *)
 
@@ -152,7 +153,7 @@ let test_torture_truncation_clean () =
     (Fmt.str "no violations: %a" Crash.pp_report report)
     true (Crash.ok report);
   Helpers.check_bool "the sweep exercised crash states" true
-    (report.Crash.cuts > 0)
+    (report.Crash.states > 0)
 
 let test_torture_truncation_no_checkpoint () =
   (* Nothing to compact: the sweep is vacuous, not wrong. *)
@@ -160,7 +161,7 @@ let test_torture_truncation_no_checkpoint () =
   List.iter (Wal.append wal)
     [ Wal.Begin Tid.a; Wal.Operation (Tid.a, BA.deposit 5); Wal.Commit Tid.a ];
   let report = Crash.torture_truncation ~rebuild:rebuild_ba wal in
-  Helpers.check_int "no crash states" 0 report.Crash.cuts;
+  Helpers.check_int "no crash states" 0 report.Crash.states;
   Helpers.check_bool "clean" true (Crash.ok report)
 
 (* --- batch-prefix torture of a group-committed run --- *)
@@ -182,14 +183,132 @@ let test_torture_batched_group_commit () =
   Helpers.check_bool
     (Fmt.str "byte cuts clean on a batched run: %a" Crash.pp_report report)
     true (Crash.ok report);
-  let batch = Crash.torture_batched ~group_every:3 wal in
+  let batch = Crash.torture_batched ~rebuild ~group_every:3 wal in
   Helpers.check_bool
-    (Fmt.str "batch-prefix clean: %a" Crash.pp_batch_report batch)
-    true (Crash.batch_ok batch);
-  Helpers.check_bool "cuts cover the encoded log" true (batch.Crash.byte_cuts > 0);
+    (Fmt.str "batch-prefix clean: %a" Crash.pp_report batch)
+    true (Crash.ok batch);
+  Helpers.check_bool "cuts cover the encoded log" true (batch.Crash.states > 0);
   Helpers.check_bool "the run performed durability barriers" true
-    (batch.Crash.frontiers >= 1);
-  Helpers.check_bool "commits were acknowledged" true (batch.Crash.acked_max > 0)
+    (Crash.counter batch "ack frontiers" >= 1);
+  Helpers.check_bool "commits were acknowledged" true
+    (Crash.counter batch "commits acked" > 0)
+
+(* --- sharded torture and the mutation battery --- *)
+
+module SD = Tm_engine.Sharded_database
+
+(* Two accounts on each of two shards, found by probing the router. *)
+let sharded_names =
+  let on s =
+    List.filteri
+      (fun i _ -> i < 2)
+      (List.filter
+         (fun n -> SD.home_shard ~shards:2 n = s)
+         (List.init 32 (Fmt.str "SA%d")))
+  in
+  Array.of_list (on 0 @ on 1)
+
+let rebuild_sharded () =
+  List.map
+    (fun name ->
+      Atomic_object.create
+        ~spec:(Tm_core.Spec.rename (BA.spec_with_initial 1_000) name)
+        ~conflict:BA.nrbc_conflict ~recovery:Recovery.UIP ())
+    (Array.to_list sharded_names)
+
+(* Five committed deposits, three of them cross-shard (2PC), then one
+   transaction left in flight. *)
+let drive_sharded db =
+  let a0 = sharded_names.(0) and a1 = sharded_names.(1) in
+  let b0 = sharded_names.(2) and b1 = sharded_names.(3) in
+  let txn objs =
+    let tid = SD.begin_txn db in
+    List.iteri (fun i o -> ignore (SD.invoke db tid ~obj:o (deposit_inv (i + 1)))) objs;
+    tid
+  in
+  List.iter
+    (fun objs ->
+      Helpers.check_bool "sharded txn commits" true (SD.try_commit db (txn objs) = Ok ()))
+    [ [ a0 ]; [ a0; b0 ]; [ b1 ]; [ a1; b1 ]; [ b0; a0 ] ];
+  ignore (txn [ a1 ])
+
+let sharded_sweep ?(recover = Crash.sharded ~rebuild:rebuild_sharded) rc =
+  Crash.sweep ~source:(Crash.sharded_states rc) ~recover:(Some recover)
+    ~invariants:(Crash.sharded_battery rc)
+
+let recording () =
+  Crash.record_sharded ~shards:2 ~rebuild:rebuild_sharded ~drive:drive_sharded
+
+let flags invariant (r : Crash.report) =
+  Helpers.check_bool
+    (Fmt.str "mutant flagged by %s: %a" invariant Crash.pp_report r)
+    true
+    (List.exists (fun v -> String.equal v.Crash.invariant invariant) r.Crash.violations)
+
+let test_torture_sharded_clean () =
+  let report =
+    Crash.torture_sharded ~shards:2 ~rebuild:rebuild_sharded ~drive:drive_sharded ()
+  in
+  Helpers.check_bool
+    (Fmt.str "no violations: %a" Crash.pp_report report)
+    true (Crash.ok report);
+  Helpers.check_bool "forced-frontier states checked" true
+    (Crash.counter report "forced-frontier states" > 0);
+  Helpers.check_bool "byte cuts checked" true (Crash.counter report "byte cuts" > 0);
+  Helpers.check_int "three cross-shard txns" 3 (Crash.counter report "cross-shard txns");
+  (* The mutants below share this recording; it is clean as recorded. *)
+  Helpers.check_bool "the recorded run is clean" true (Crash.ok (sharded_sweep (recording ())))
+
+(* Drop a force: one participant's sink never forces, so its Prepare is
+   not durable when the coordinator's Decision is. *)
+let test_mutant_dropped_force () =
+  let rc = recording () in
+  let full = Array.map (List.map snd) rc.Crash.appends in
+  let participant =
+    List.find
+      (fun p ->
+        List.exists
+          (function
+            | Wal.Prepare t ->
+                not
+                  (List.exists
+                     (function Wal.Decision d -> Tid.equal d.tid t | _ -> false)
+                     full.(p))
+            | _ -> false)
+          full.(p))
+      [ 0; 1 ]
+  in
+  let forces = Array.mapi (fun p f -> if p = participant then [] else f) rc.Crash.forces in
+  flags "global-atomicity" (sharded_sweep { rc with Crash.forces })
+
+(* Skip the loser set: recovery reports no losers.  Only the shared
+   replay-consistency invariant sees it. *)
+let test_mutant_no_losers () =
+  let recover wals =
+    Result.map
+      (fun r -> { r with Crash.losers = Tid.Set.empty })
+      (Crash.durable ~rebuild:rebuild_ba wals)
+  in
+  let report =
+    Crash.sweep ~source:(Crash.record_prefixes (driven_wal ())) ~recover:(Some recover)
+      ~invariants:
+        (Crash.recovery_battery ~max_atomicity_txns:Crash.default_max_atomicity_txns
+           ~rebuild:rebuild_ba)
+  in
+  flags "replay-consistency" report
+
+(* Flip a 2PC decision: recovery rewrites every surviving commit
+   Decision to abort before resolving the in-doubt prepares. *)
+let test_mutant_flipped_decision () =
+  let flip = function
+    | Wal.Decision { tid; commit = true } -> Wal.Decision { tid; commit = false }
+    | r -> r
+  in
+  let recover wals =
+    Crash.sharded ~rebuild:rebuild_sharded
+      (Array.map (fun w -> Wal.of_records (List.map flip (Wal.records w))) wals)
+  in
+  flags "global-atomicity" (sharded_sweep ~recover (recording ()))
 
 (* --- the property --- *)
 
@@ -227,11 +346,6 @@ let prop_crash_invariants =
           scenario.Experiment.name (Experiment.label setup) seed checkpoint_every
           Crash.pp_report report)
 
-let committed_by_object db =
-  List.map
-    (fun o -> (Atomic_object.name o, Atomic_object.committed_ops o))
-    (Tm_engine.Database.objects (DD.database db))
-
 (* Recovery of any crash prefix must agree with a direct replay of the
    same records: each object holds exactly its share of the committed
    operations in commit order, the loser sets are equal, and new
@@ -266,7 +380,7 @@ let prop_recover_matches_replay =
               (fun (name, ops) ->
                 List.equal Op.equal ops
                   (List.filter (fun (op : Op.t) -> String.equal op.Op.obj name) committed))
-              (committed_by_object db)
+              (Crash.committed_ops (Tm_engine.Database.objects (DD.database db)))
           in
           let first = Tid.to_int (DD.begin_txn db) in
           let above_max =
@@ -295,6 +409,14 @@ let suite =
       test_torture_truncation_no_checkpoint;
     Alcotest.test_case "batch-prefix torture of group-committed run" `Quick
       test_torture_batched_group_commit;
+    Alcotest.test_case "sharded torture: clean 2-shard run" `Quick
+      test_torture_sharded_clean;
+    Alcotest.test_case "mutant: dropped participant force" `Quick
+      test_mutant_dropped_force;
+    Alcotest.test_case "mutant: recovery skips the loser set" `Quick
+      test_mutant_no_losers;
+    Alcotest.test_case "mutant: flipped 2PC decision" `Quick
+      test_mutant_flipped_decision;
     prop_crash_invariants;
     prop_recover_matches_replay;
   ]
