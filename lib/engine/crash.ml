@@ -534,7 +534,8 @@ let corruption_sweep wal =
    backend state the protocol can leave behind —
    {ol
    {- {b journal phase}: the old log followed by the first [k] bytes of
-      the intent + compacted-image journal, for every [k];}
+      {!Disk_wal.journal} (zero fill, intent, compacted image), for
+      every [k];}
    {- {b install phase}: the first [k] bytes of the new image spliced
       over the full journaled file, for every [k] (the memory backend's
       [write_at] is atomic, so the torn states of the file backend's
@@ -546,11 +547,7 @@ let corruption_sweep wal =
    reproduces exactly what [recs], the pre-rewrite log, replays to. *)
 let sweep_rewrite ~invariant ~rebuild ~recs ~old_bytes ~image =
   let new_len = String.length image in
-  let intent =
-    Wal.Codec.encode
-      (Wal.Truncate_intent { old_len = String.length old_bytes; new_len })
-  in
-  let journal = intent ^ image in
+  let journal = Disk_wal.journal ~shard:0 ~old_len:(String.length old_bytes) image in
   let full = old_bytes ^ journal in
   let images =
     List.init

@@ -182,9 +182,9 @@ val corruption_sweep : Wal.t -> report
 
 (** [torture_truncation ~rebuild wal] sweeps the crash-atomic log
     compaction of {!Disk_wal.checkpoint_truncate}: it replays the
-    compaction [wal] would perform (journal = [Truncate_intent] frame +
-    compacted image appended after the old log; install = image
-    rewritten from offset 0) and builds {e every} intermediate backend
+    compaction [wal] would perform (journal = {!Disk_wal.journal}
+    appended after the old log; install = image rewritten from offset
+    0) and builds {e every} intermediate backend
     state — each byte prefix of the journal write, each byte prefix of
     the install write over the journaled file, and the final image.
     Every state is reloaded through {!Disk_wal.load} and recovered; a

@@ -1,9 +1,9 @@
-(** A write-ahead-logged multi-object database.
+(** A write-ahead-logged database: crash recovery for the engine.
 
-    {!Durable_object} logs one object; real transactions touch several,
-    and atomic commitment must survive crashes: either every object sees
-    the transaction's effects after recovery, or none does.  This wrapper
-    shares one {!Wal} across all objects — operations are logged with
+    Transactions touch one object or several, and atomic commitment
+    must survive crashes: either every object sees the transaction's
+    effects after recovery, or none does.  This wrapper shares one
+    {!Wal} across all objects — operations are logged with
     their object name (carried by {!Tm_core.Op.t}), and a transaction's
     {e single} commit record covers all of them, so recovery is
     all-or-nothing by construction (the logging equivalent of the paper's

@@ -66,27 +66,38 @@ let file path =
     | Unix.Unix_error ((Unix.EINTR | Unix.EAGAIN), fn, _) ->
         raise (Transient (Fmt.str "%s: interrupted" fn))
   in
+  let file_size () = (Unix.fstat fd).Unix.st_size in
+  (* The end of the file, read once here and then tracked: an append
+     costs lseek + write, and only a write that ends before the end
+     pays for the ftruncate. *)
+  let len = ref (file_size ()) in
   let write_all data =
-    let b = Bytes.of_string data in
+    let n = String.length data in
     let rec go off =
-      if off < Bytes.length b then
-        go (off + io (fun () -> Unix.write fd b off (Bytes.length b - off)))
+      if off < n then go (off + io (fun () -> Unix.write_substring fd data off (n - off)))
     in
     go 0
   in
-  let file_size () = (Unix.fstat fd).Unix.st_size in
   {
     name = path;
     write_at =
       (fun ~pos data ->
-        check_pos ~who:path ~pos ~size:(file_size ());
-        ignore (io (fun () -> Unix.lseek fd pos Unix.SEEK_SET));
-        write_all data;
-        io (fun () -> Unix.ftruncate fd (pos + String.length data)));
+        check_pos ~who:path ~pos ~size:!len;
+        let stop = pos + String.length data in
+        (try
+           ignore (io (fun () -> Unix.lseek fd pos Unix.SEEK_SET));
+           write_all data;
+           if stop < !len then io (fun () -> Unix.ftruncate fd stop)
+         with e ->
+           (* A failed or partial write may have grown the file: never
+              let the tracked end fall below the real one. *)
+           len := file_size ();
+           raise e);
+        len := stop);
     force = (fun () -> io (fun () -> Unix.fsync fd));
     read_all =
       (fun () ->
-        let len = file_size () in
+        let len = !len in
         let b = Bytes.create len in
         ignore (io (fun () -> Unix.lseek fd 0 Unix.SEEK_SET));
         let rec go off =
@@ -97,7 +108,7 @@ let file path =
           else Bytes.to_string b
         in
         go 0);
-    size = file_size;
+    size = (fun () -> !len);
     close = (fun () -> try Unix.close fd with Unix.Unix_error _ -> ());
     fault_count = (fun () -> 0);
     attach = (fun _ -> ());
@@ -106,13 +117,14 @@ let file path =
 (* ------------------------------------------------------------------ *)
 (* Simulated device latency.                                           *)
 
-let slow ?(write_delay = 0.) ?(force_delay = 0.001) inner =
-  let pause d = if d > 0. then Thread.delay d in
+let slow ?(force_delay = 0.001) inner =
   {
     inner with
     name = inner.name ^ "+slow";
-    write_at = (fun ~pos data -> pause write_delay; inner.write_at ~pos data);
-    force = (fun () -> pause force_delay; inner.force ());
+    force =
+      (fun () ->
+        if force_delay > 0. then Thread.delay force_delay;
+        inner.force ());
   }
 
 (* ------------------------------------------------------------------ *)

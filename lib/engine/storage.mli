@@ -1,6 +1,6 @@
 (** Pluggable byte storage for the on-disk write-ahead log.
 
-    {!Wal} up to PR 2 modelled stable storage in-memory with an append
+    A sinkless {!Wal} models stable storage in-memory, with an append
     that is atomic and incorruptible.  Real logs live on real devices
     that tear writes, rot bits, return short reads and fail transiently;
     this module is the seam where those behaviours enter the system.  A
@@ -53,18 +53,23 @@ val memory : ?name:string -> unit -> t
 (** In-memory backend pre-seeded with [contents]. *)
 val of_string : ?name:string -> string -> t
 
-(** File backend: [write_at] is pwrite + ftruncate, [force] is fsync.
-    The file is created if missing.  [EINTR]/[EAGAIN] surface as
+(** File backend: [write_at] is lseek + write, [force] is fsync.  The
+    handle reads the file's size once at open and then tracks its end,
+    so an append (a write ending at or past the end) makes no other
+    system call; [ftruncate] runs only when a write ends before the end
+    of the file (a fresh log's truncation, a compaction's install).
+    After a failed write the tracked end is re-read from the file, so it
+    never falls below the real size.  The file is created if missing.  [EINTR]/[EAGAIN] surface as
     {!Transient}; other I/O errors propagate as [Unix.Unix_error]. *)
 val file : string -> t
 
 (** {1 Simulated device latency} *)
 
-(** [slow ?write_delay ?force_delay inner] sleeps before delegating each
-    {!write_at} (default 0) and {!force} (default 1ms) — a stand-in for
-    a device whose barrier dominates, so group-commit batching actually
-    forms in benchmarks and threaded tests over {!memory}. *)
-val slow : ?write_delay:float -> ?force_delay:float -> t -> t
+(** [slow ?force_delay inner] sleeps before delegating each {!force}
+    (default 1ms) — a stand-in for a device whose barrier dominates, so
+    group-commit batching actually forms in benchmarks and threaded
+    tests over {!memory}. *)
+val slow : ?force_delay:float -> t -> t
 
 (** {1 Observation hooks} *)
 

@@ -14,7 +14,7 @@ type record =
   | Commit of Tid.t
   | Abort of Tid.t
   | Checkpoint of checkpoint
-  | Truncate_intent of { old_len : int; new_len : int }
+  | Truncate_intent of { at : int; new_len : int }
   | Prepare of Tid.t
   | Decision of { tid : Tid.t; commit : bool }
 
@@ -26,8 +26,8 @@ let pp_record ppf = function
   | Checkpoint cp ->
       Fmt.pf ppf "CHECKPOINT (%d ops, %d live txns, next tid %d)"
         (List.length cp.committed) (List.length cp.live) cp.next_tid
-  | Truncate_intent { old_len; new_len } ->
-      Fmt.pf ppf "TRUNCATE-INTENT (%d -> %d bytes)" old_len new_len
+  | Truncate_intent { at; new_len } ->
+      Fmt.pf ppf "TRUNCATE-INTENT (at byte %d, %d-byte image)" at new_len
   | Prepare tid -> Fmt.pf ppf "PREPARE %a" Tid.pp tid
   | Decision { tid; commit } ->
       Fmt.pf ppf "DECISION %a %s" Tid.pp tid (if commit then "COMMIT" else "ABORT")
@@ -47,7 +47,7 @@ let equal_record a b =
   | Operation (x, p), Operation (y, q) -> Tid.equal x y && Op.equal p q
   | Checkpoint x, Checkpoint y -> equal_checkpoint x y
   | Truncate_intent x, Truncate_intent y ->
-      x.old_len = y.old_len && x.new_len = y.new_len
+      x.at = y.at && x.new_len = y.new_len
   | Decision x, Decision y -> Tid.equal x.tid y.tid && x.commit = y.commit
   | ( ( Begin _ | Operation _ | Commit _ | Abort _ | Checkpoint _
       | Truncate_intent _ | Prepare _ | Decision _ ),
@@ -219,9 +219,10 @@ let record_kind = function
   | Decision _ -> "decision"
 
 let append t r =
+  (* Storage first: a sink that gives up leaves the log unchanged. *)
+  (match t.sink with None -> () | Some s -> s.sink_append r);
   t.records_rev <- r :: t.records_rev;
   t.count <- t.count + 1;
-  (match t.sink with None -> () | Some s -> s.sink_append r);
   (* Publish the LSN only after the sink has the bytes: a flusher that
      snapshots [appended] and forces is then guaranteed to have covered
      every numbered record.  Counter updates are taken under [flush_lock]
@@ -544,9 +545,9 @@ module Codec = struct
         put_list put_op b cp.committed;
         put_list (fun b (tid, ops) -> put_tid b tid; put_list put_op b ops) b cp.live;
         put_int b cp.next_tid
-    | Truncate_intent { old_len; new_len } ->
+    | Truncate_intent { at; new_len } ->
         Buffer.add_char b '\005';
-        put_int b old_len;
+        put_int b at;
         put_int b new_len
     | Prepare tid -> Buffer.add_char b '\006'; put_tid b tid
     | Decision { tid; commit } ->
@@ -649,11 +650,11 @@ module Codec = struct
         let next_tid = get_int r in
         Checkpoint { committed; live; next_tid }
     | 5 ->
-        let old_len = get_int r in
+        let at = get_int r in
         let new_len = get_int r in
-        if old_len < 0 || new_len < 0 then
+        if at < 0 || new_len < 0 then
           raise (Bad "negative truncate-intent length");
-        Truncate_intent { old_len; new_len }
+        Truncate_intent { at; new_len }
     | 6 -> Prepare (get_tid r)
     | 7 ->
         let tid = get_tid r in

@@ -3,15 +3,17 @@
     The paper restricts itself to recovery from transaction aborts and
     notes that "crash recovery mechanisms are frequently similar to abort
     recovery mechanisms" (Section 1), leaving their analysis as future
-    work.  This module and {!Durable_object} implement that extension for
-    the engine: a logical redo log of operations, with commit records
+    work.  This module and {!Durable_database} implement that extension
+    for the engine: a logical redo log of operations, with commit records
     forced before a commit is acknowledged, and fuzzy checkpoints.
 
-    Stable storage is modelled in-memory; a {e crash} loses every
-    volatile object state but none of the appended log records (append is
-    atomic and forced).  Torn tails are modelled by recovering from a
-    {e prefix} of the log: the crash-injection tests recover from every
-    prefix. *)
+    Without a {!sink}, stable storage is modelled in-memory: a {e crash}
+    loses every volatile object state but none of the appended log
+    records (append is atomic and durable by fiat), and torn tails are
+    modelled by recovering from a {e prefix} of the log — the
+    crash-injection tests recover from every prefix.  With a sink
+    ({!Disk_wal}), every append is mirrored onto a {!Storage} backend as
+    a checksummed frame and {!force} is a real barrier. *)
 
 open Tm_core
 
@@ -38,11 +40,12 @@ type record =
   | Commit of Tid.t
   | Abort of Tid.t
   | Checkpoint of checkpoint
-  | Truncate_intent of { old_len : int; new_len : int }
+  | Truncate_intent of { at : int; new_len : int }
       (** The compaction journal marker written by
-          {!Disk_wal.checkpoint_truncate}: the old log ([old_len] bytes)
-          is about to be replaced by a compacted image ([new_len]
-          bytes).  It lives only in the journal region of the backend —
+          {!Disk_wal.checkpoint_truncate}: the old log is about to be
+          replaced by a compacted image ([new_len] bytes).  [at] is the
+          marker's own byte offset — the end of the old log, or the end
+          of the image if that is further.  It lives only in the journal region of the backend —
           never appended to an in-memory log — and {!Disk_wal.load}
           resolves it (redo or roll back the compaction) before the log
           reaches replay; {!replay} ignores a stray one (it carries no
@@ -148,6 +151,10 @@ val mark_all_flushed : t -> unit
     automatically; a log rebuilt by {!prefix} keeps the attachment. *)
 val attach_metrics : t -> Tm_obs.Metrics.t -> unit
 
+(** [append t r] persists [r] through the sink (if any), then adds it
+    to the log.  If the sink raises, the exception propagates and the
+    log is unchanged: memory never holds a record that storage does
+    not. *)
 val append : t -> record -> unit
 
 (** The record kind as a short lower-case string (metric/trace label). *)

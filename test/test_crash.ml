@@ -164,6 +164,35 @@ let test_torture_truncation_no_checkpoint () =
   Helpers.check_int "no crash states" 0 report.Crash.states;
   Helpers.check_bool "clean" true (Crash.ok report)
 
+(* Regression: an upgrade whose v2 image is longer than the v1 log (one
+   transaction, a checkpoint, 40 more: little to drop, every frame
+   wider).  A journal placed at the old log's end would be overwritten
+   by the install, and every install byte past it would reload as
+   interior corruption. *)
+let test_torture_upgrade_grown_image () =
+  let txn i =
+    let t = Tid.of_int i in
+    [ Wal.Begin t; Wal.Operation (t, BA.deposit 1); Wal.Commit t ]
+  in
+  let head = txn 0 in
+  let wal =
+    Wal.of_records
+      (head
+      @ [ Wal.Checkpoint (Wal.fuzzy_checkpoint head) ]
+      @ List.concat_map txn (List.init 40 (fun i -> i + 1)))
+  in
+  let mirror = Wal.of_records (Wal.records wal) in
+  ignore (Wal.truncate_to_checkpoint mirror);
+  Helpers.check_bool "the v2 image is longer than the v1 log" true
+    (String.length (Wal.Codec.encode_all (Wal.records mirror))
+    > String.length (Wal.Codec.encode_all ~version:Wal.Codec.v1 (Wal.records wal)));
+  let report = Crash.torture_upgrade ~rebuild:rebuild_ba wal in
+  Helpers.check_bool
+    (Fmt.str "no violations: %a" Crash.pp_report report)
+    true (Crash.ok report);
+  Helpers.check_bool "the sweep exercised crash states" true
+    (report.Crash.states > 0)
+
 (* --- batch-prefix torture of a group-committed run --- *)
 
 let test_torture_batched_group_commit () =
@@ -407,6 +436,8 @@ let suite =
       test_torture_truncation_clean;
     Alcotest.test_case "truncation torture: vacuous without checkpoint" `Quick
       test_torture_truncation_no_checkpoint;
+    Alcotest.test_case "upgrade torture: grown image" `Quick
+      test_torture_upgrade_grown_image;
     Alcotest.test_case "batch-prefix torture of group-committed run" `Quick
       test_torture_batched_group_commit;
     Alcotest.test_case "sharded torture: clean 2-shard run" `Quick

@@ -230,7 +230,7 @@ let sample_records =
   ]
 
 let test_codec_truncate_intent_roundtrip () =
-  let r = Wal.Truncate_intent { old_len = 12345; new_len = 678 } in
+  let r = Wal.Truncate_intent { at = 12345; new_len = 678 } in
   Helpers.check_bool "record kind" true
     (String.equal (Wal.record_kind r) "truncate_intent");
   let bytes = Codec.encode_all (sample_records @ [ r ]) in
@@ -511,6 +511,33 @@ let test_file_backend () =
       Helpers.check_int "size" 9 (Storage.size s2);
       Storage.close s2)
 
+(* The file handle tracks the end of the file instead of asking for it:
+   appends grow it, an interior write still truncates, a write past the
+   end is refused, and a reopened handle reads the size from the file. *)
+let test_file_backend_tracked_end () =
+  let path = Filename.temp_file "tm_storage_end" ".wal" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+    (fun () ->
+      let s = Storage.file path in
+      List.iter (fun c -> Storage.write_at s ~pos:(Storage.size s) c) [ "abc"; "defg"; "hi" ];
+      Helpers.check_int "appends grow the end" 9 (Storage.size s);
+      Storage.write_at s ~pos:2 "XY";
+      Helpers.check_int "interior write moves the end back" 4 (Storage.size s);
+      Helpers.check_int "and truncates the file" 4 (Unix.stat path).Unix.st_size;
+      Alcotest.(check string) "contents" "abXY" (Storage.read_all s);
+      (match Storage.write_at s ~pos:5 "z" with
+      | () -> Alcotest.fail "write past the end accepted"
+      | exception Invalid_argument _ -> ());
+      Storage.write_at s ~pos:4 "tail";
+      Storage.close s;
+      let s2 = Storage.file path in
+      Helpers.check_int "reopened size" 8 (Storage.size s2);
+      Alcotest.(check string) "reopened contents" "abXYtail" (Storage.read_all s2);
+      Storage.write_at s2 ~pos:8 "!";
+      Alcotest.(check string) "append after reopen" "abXYtail!" (Storage.read_all s2);
+      Storage.close s2)
+
 let test_faulty_torn_write () =
   let inner = Storage.memory () in
   let cfg = { Storage.no_faults with torn_write = 1. } in
@@ -621,7 +648,9 @@ let test_disk_wal_checkpoint_truncate () =
 
 (* A disk log with a checkpoint, plus the three byte images the
    compaction protocol moves between: the old log, the journal
-   (intent + compacted image) appended after it, and the image alone. *)
+   (intent + compacted image) appended after it, and the image alone.
+   The image is shorter than the old log, so the journal has no zero
+   fill and [intent] is exactly the intent frame. *)
 let compaction_fixture () =
   let storage = Storage.memory () in
   let dw = Disk_wal.create storage in
@@ -634,11 +663,10 @@ let compaction_fixture () =
   let mirror = Wal.of_records (Wal.records wal) in
   ignore (Wal.truncate_to_checkpoint mirror);
   let image = Codec.encode_all (Wal.records mirror) in
-  let intent =
-    Codec.encode
-      (Wal.Truncate_intent
-         { old_len = String.length old_bytes; new_len = String.length image })
-  in
+  let journal = Disk_wal.journal ~shard:0 ~old_len:(String.length old_bytes) image in
+  let intent = String.sub journal 0 (String.length journal - String.length image) in
+  Helpers.check_bool "fixture image shrinks" true
+    (String.length image < String.length old_bytes);
   (Wal.records wal, Wal.records mirror, old_bytes, intent, image)
 
 (* Crash after the journal write was cut short: the compaction never
@@ -703,6 +731,102 @@ let test_truncate_journal_damaged_image_refused () =
   | Error c ->
       Helpers.check_bool "refusal points into the journal image" true
         (c.Codec.offset >= String.length old_bytes + String.length intent)
+
+(* A compaction whose image is longer than the old log: a v1 log (one
+   transaction, a checkpoint, 40 more) rewritten as v2, which drops
+   little and widens every frame.  The journal is zero-filled up to the
+   image's end, so the install never overwrites it. *)
+let grown_fixture () =
+  let txn i =
+    let t = Tid.of_int i in
+    [ Wal.Begin t; Wal.Operation (t, BA.deposit 1); Wal.Commit t ]
+  in
+  let head = txn 0 in
+  let recs =
+    head
+    @ [ Wal.Checkpoint (Wal.fuzzy_checkpoint head) ]
+    @ List.concat_map txn (List.init 40 (fun i -> i + 1))
+  in
+  let old_bytes = Codec.encode_all ~version:Codec.v1 recs in
+  let mirror = Wal.of_records recs in
+  ignore (Wal.truncate_to_checkpoint mirror);
+  let image = Codec.encode_all (Wal.records mirror) in
+  Helpers.check_bool "fixture image grows" true
+    (String.length image > String.length old_bytes);
+  let journal = Disk_wal.journal ~shard:0 ~old_len:(String.length old_bytes) image in
+  (recs, Wal.records mirror, old_bytes, journal, image)
+
+(* Crash inside a grown journal's write, before, at and after the end
+   of its zero fill: reload rolls back to the old log (the fill decodes
+   as a torn tail).  Once the intent frame is whole the resolver finds
+   it and also erases the journal debris. *)
+let test_grown_journal_rollback () =
+  let old_records, _, old_bytes, journal, image = grown_fixture () in
+  let fill = String.length image - String.length old_bytes in
+  let intent_end = String.length journal - String.length image in
+  List.iter
+    (fun cut ->
+      let storage = Storage.of_string (old_bytes ^ String.sub journal 0 cut) in
+      match Disk_wal.load storage with
+      | Error c -> Alcotest.failf "cut %d refused: %a" cut Codec.pp_corruption c
+      | Ok dw ->
+          Helpers.check_bool
+            (Fmt.str "cut %d rolls back to the old log" cut)
+            true
+            (List.equal Wal.equal_record old_records (Wal.records (Disk_wal.wal dw)));
+          if cut >= intent_end then
+            Alcotest.(check string)
+              (Fmt.str "cut %d erases the journal debris" cut)
+              old_bytes (Storage.read_all storage))
+    [ 1; fill; fill + 1; intent_end; String.length journal - 1 ]
+
+(* Crash inside a grown image's install, including past the old log's
+   end: the journal is intact, so the install is redone. *)
+let test_grown_journal_redo () =
+  let _, new_records, old_bytes, journal, image = grown_fixture () in
+  let full = old_bytes ^ journal in
+  List.iter
+    (fun k ->
+      let storage =
+        Storage.of_string (String.sub image 0 k ^ String.sub full k (String.length full - k))
+      in
+      match Disk_wal.load storage with
+      | Error c -> Alcotest.failf "install byte %d refused: %a" k Codec.pp_corruption c
+      | Ok dw ->
+          Helpers.check_bool
+            (Fmt.str "install byte %d redoes to the compacted log" k)
+            true
+            (List.equal Wal.equal_record new_records (Wal.records (Disk_wal.wal dw)));
+          Alcotest.(check string)
+            (Fmt.str "install byte %d leaves exactly the image" k)
+            image (Storage.read_all storage))
+    [ 0; String.length old_bytes; String.length old_bytes + 1; String.length image ]
+
+(* The same upgrade through [checkpoint_truncate] itself, on a file. *)
+let test_grown_checkpoint_truncate_on_file () =
+  let recs, new_records, old_bytes, _, image = grown_fixture () in
+  let path = Filename.temp_file "tm_grown" ".wal" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+    (fun () ->
+      let f = Storage.file path in
+      Storage.write_at f ~pos:0 old_bytes;
+      let dw =
+        match Disk_wal.load f with
+        | Ok dw -> dw
+        | Error c -> Alcotest.failf "v1 log refused: %a" Codec.pp_corruption c
+      in
+      Helpers.check_int "records dropped" (List.length recs - List.length new_records)
+        (Disk_wal.checkpoint_truncate dw);
+      Storage.close f;
+      let f2 = Storage.file path in
+      Alcotest.(check string) "the file holds exactly the image" image (Storage.read_all f2);
+      (match Disk_wal.load f2 with
+      | Ok dw2 ->
+          Helpers.check_bool "reloads the compacted log" true
+            (List.equal Wal.equal_record new_records (Wal.records (Disk_wal.wal dw2)))
+      | Error c -> Alcotest.failf "compacted log refused: %a" Codec.pp_corruption c);
+      Storage.close f2)
 
 (* Regression: a fresh log must force the truncation of a stale
    previous-incarnation log before returning — otherwise a crash before
@@ -781,17 +905,59 @@ let test_disk_wal_retry_absorbs_faults () =
 let test_disk_wal_gives_up () =
   let cfg = { Storage.no_faults with write_error = 1. } in
   let storage = Storage.faulty ~seed:1 cfg (Storage.memory ()) in
-  let backoffs = ref [] in
-  let retry =
-    { Disk_wal.max_attempts = 3; backoff = (fun n -> backoffs := n :: !backoffs) }
-  in
-  let dw = Disk_wal.create ~retry storage in
+  let dw = Disk_wal.create storage in
   (match Wal.append (Disk_wal.wal dw) (Wal.Begin Tid.a) with
   | () -> Alcotest.fail "append succeeded under write_error = 1"
   | exception Disk_wal.Storage_unavailable { attempts; _ } ->
-      Helpers.check_int "attempt budget spent" 3 attempts);
-  Alcotest.(check (list int)) "backoff hook saw each failed attempt" [ 2; 1 ]
-    !backoffs
+      Helpers.check_int "constant attempt budget spent" 8 attempts);
+  Helpers.check_int "every failed attempt but the last was retried" 7
+    (Disk_wal.retries dw)
+
+(* Regression: an append whose storage write gives up must not land in
+   memory.  Otherwise the in-memory log holds a commit record storage
+   lacks, and a later checkpoint + compaction writes that aborted
+   transaction to storage as committed. *)
+let test_failed_append_leaves_memory_equal_to_storage () =
+  let failing = ref false in
+  let inner = Storage.memory () in
+  let storage =
+    Storage.probe inner ~on_write:(fun ~pos:_ _ ->
+        if !failing then raise (Storage.Transient "probe: write refused"))
+  in
+  let dw = Disk_wal.create storage in
+  let wal = Disk_wal.wal dw in
+  let db =
+    Tm_engine.Durable_database.create ~wal
+      [
+        Tm_engine.Atomic_object.create ~spec:BA.spec ~conflict:BA.nrbc_conflict
+          ~recovery:Tm_engine.Recovery.UIP ();
+      ]
+  in
+  let module DD = Tm_engine.Durable_database in
+  let t = DD.begin_txn db in
+  ignore (DD.invoke db t ~obj:"BA" (Op.invocation ~args:[ Value.int 5 ] "deposit"));
+  let length = Wal.length wal and lsn = Wal.last_lsn wal in
+  failing := true;
+  (match DD.try_commit db t with
+  | _ -> Alcotest.fail "commit succeeded with storage refusing writes"
+  | exception Disk_wal.Storage_unavailable _ -> ());
+  Helpers.check_int "length unchanged" length (Wal.length wal);
+  Helpers.check_int "last_lsn unchanged" lsn (Wal.last_lsn wal);
+  failing := false;
+  DD.abort db t;
+  let on_storage () =
+    match Disk_wal.load inner with
+    | Ok dw2 -> Wal.records (Disk_wal.wal dw2)
+    | Error c -> Alcotest.failf "reload: %a" Codec.pp_corruption c
+  in
+  Helpers.check_bool "memory equals storage" true
+    (List.equal Wal.equal_record (Wal.records wal) (on_storage ()));
+  Helpers.check_int "nothing committed" 0
+    (Tm_engine.Database.committed_count (DD.database db));
+  DD.checkpoint db;
+  ignore (Disk_wal.checkpoint_truncate dw);
+  let committed, _ = Wal.replay (on_storage ()) in
+  Alcotest.check Helpers.ops "the aborted deposit stays aborted" [] committed
 
 let suite =
   [
@@ -824,6 +990,8 @@ let suite =
       test_valid_frame_after;
     Alcotest.test_case "memory semantics" `Quick test_memory_semantics;
     Alcotest.test_case "file backend" `Quick test_file_backend;
+    Alcotest.test_case "file backend tracks its end" `Quick
+      test_file_backend_tracked_end;
     Alcotest.test_case "faulty torn write" `Quick test_faulty_torn_write;
     Alcotest.test_case "disk wal roundtrip" `Quick test_disk_wal_roundtrip;
     Alcotest.test_case "create discards stale log" `Quick
@@ -840,10 +1008,17 @@ let suite =
       test_truncate_journal_redo;
     Alcotest.test_case "truncation journal: damaged image refused" `Quick
       test_truncate_journal_damaged_image_refused;
+    Alcotest.test_case "grown journal: rollback across the zero fill" `Quick
+      test_grown_journal_rollback;
+    Alcotest.test_case "grown journal: redo" `Quick test_grown_journal_redo;
+    Alcotest.test_case "grown checkpoint truncate on a file" `Quick
+      test_grown_checkpoint_truncate_on_file;
     Alcotest.test_case "create forces stale-log truncation" `Quick
       test_create_forces_stale_truncation;
     Alcotest.test_case "retry absorbs injected faults" `Quick
       test_disk_wal_retry_absorbs_faults;
     Alcotest.test_case "storage unavailable after budget" `Quick
       test_disk_wal_gives_up;
+    Alcotest.test_case "failed append leaves memory equal to storage" `Quick
+      test_failed_append_leaves_memory_equal_to_storage;
   ]

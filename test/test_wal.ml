@@ -1,11 +1,11 @@
-(* Crash recovery: the write-ahead log and durable objects.  The key
+(* Crash recovery: the write-ahead log and durable databases.  The key
    property is crash-consistency at every instant — recovering from every
    prefix of a generated log yields exactly the transactions whose commit
    records made it to stable storage, replayed legally in commit order. *)
 
 open Tm_core
 module Wal = Tm_engine.Wal
-module Durable = Tm_engine.Durable_object
+module DD = Tm_engine.Durable_database
 module Atomic_object = Tm_engine.Atomic_object
 module Recovery = Tm_engine.Recovery
 module BA = Tm_adt.Bank_account
@@ -14,8 +14,14 @@ let deposit_inv i = Op.invocation ~args:[ Value.int i ] "deposit"
 let withdraw_inv i = Op.invocation ~args:[ Value.int i ] "withdraw"
 let balance_inv = Op.invocation "balance"
 
-let make ?(recovery = Recovery.UIP) wal =
-  Durable.create ~spec:BA.spec ~conflict:BA.nrbc_conflict ~recovery ~wal
+(* One bank account "BA" behind a durable database. *)
+let rebuild_ba ?(recovery = Recovery.UIP) () =
+  [ Atomic_object.create ~spec:BA.spec ~conflict:BA.nrbc_conflict ~recovery () ]
+
+let make ?recovery wal = DD.create ~wal (rebuild_ba ?recovery ())
+
+let committed_ops db =
+  Atomic_object.committed_ops (List.hd (Tm_engine.Database.objects (DD.database db)))
 
 (* Recovery now returns a result; tests on well-formed logs expect Ok. *)
 let recover_exn = function
@@ -188,9 +194,14 @@ let test_prefix_carries_metrics () =
 let test_abort_not_begun_not_logged () =
   let wal = Wal.create () in
   let d = make wal in
-  Durable.abort d Tid.a;
-  Helpers.check_int "no record for unknown txn" 0 (Wal.length wal);
-  let module DD = Tm_engine.Durable_database in
+  let a = DD.begin_txn d and b = DD.begin_txn d in
+  ignore (DD.invoke d a ~obj:"BA" (deposit_inv 5));
+  let logged = Wal.length wal in
+  (match DD.invoke d b ~obj:"BA" (withdraw_inv 3) with
+  | Atomic_object.Blocked _ -> ()
+  | out -> Alcotest.failf "expected a block, got %a" Atomic_object.pp_outcome out);
+  DD.abort d b;  (* its only invocation never executed: nothing logged *)
+  Helpers.check_int "no record for a txn that never executed" logged (Wal.length wal);
   let wal2 = Wal.create () in
   let db =
     DD.create ~wal:wal2
@@ -207,7 +218,6 @@ let test_abort_not_begun_not_logged () =
    log, else a post-recovery transaction can reuse a crash loser's tid
    and replay merges their operations. *)
 let test_no_tid_reuse_after_recovery () =
-  let module DD = Tm_engine.Durable_database in
   let wal = Wal.create () in
   let rebuild () =
     [
@@ -233,7 +243,6 @@ let test_no_tid_reuse_after_recovery () =
 (* A mid-run fuzzy checkpoint followed by truncation preserves both the
    loser and the later commit of a transaction spanning the checkpoint. *)
 let test_durable_database_truncated_recovery () =
-  let module DD = Tm_engine.Durable_database in
   let wal = Wal.create () in
   let rebuild () =
     [
@@ -261,7 +270,6 @@ let test_durable_database_truncated_recovery () =
    operations of an object [rebuild] does not supply is refused with a
    typed error naming that object, not recovered without it. *)
 let test_recover_refuses_unsupplied_object () =
-  let module DD = Tm_engine.Durable_database in
   let account name =
     Atomic_object.create ~spec:(Spec.rename BA.spec name) ~conflict:BA.nrbc_conflict
       ~recovery:Recovery.UIP ()
@@ -284,25 +292,22 @@ let test_durable_end_to_end () =
   let wal = Wal.create () in
   let d = make wal in
   let run tid inv =
-    match Durable.invoke d tid inv with
+    match DD.invoke d tid ~obj:"BA" inv with
     | Atomic_object.Executed op -> op
     | out -> Alcotest.failf "unexpected %a" Atomic_object.pp_outcome out
   in
-  ignore (run Tid.a (deposit_inv 5));
-  Durable.commit d Tid.a;
-  ignore (run Tid.b (deposit_inv 3));
+  let a = DD.begin_txn d in
+  ignore (run a (deposit_inv 5));
+  Helpers.check_bool "A commits" true (DD.try_commit d a = Ok ());
+  let b = DD.begin_txn d in
+  ignore (run b (deposit_inv 3));
   (* crash before B commits: log has A's commit only *)
-  let recovered, losers =
-    recover_exn
-      (Durable.recover ~spec:BA.spec ~conflict:BA.nrbc_conflict
-         ~recovery:Recovery.UIP wal)
-  in
-  Helpers.check_bool "B lost" true (Tid.Set.mem Tid.b losers);
+  let recovered, losers = recover_exn (DD.recover ~wal ~rebuild:rebuild_ba ()) in
+  Helpers.check_bool "B lost" true (Tid.Set.mem b losers);
   Alcotest.check Helpers.ops "A's work survives" [ BA.deposit 5 ]
-    (Durable.committed_ops recovered);
-  (* the recovered object serves correct responses *)
-  let t = Tid.of_int 40 in
-  match Durable.invoke recovered t balance_inv with
+    (committed_ops recovered);
+  (* the recovered database serves correct responses *)
+  match DD.invoke recovered (DD.begin_txn recovered) ~obj:"BA" balance_inv with
   | Atomic_object.Executed op -> Alcotest.check Helpers.op "balance 5" (BA.balance 5) op
   | out -> Alcotest.failf "unexpected %a" Atomic_object.pp_outcome out
 
@@ -311,34 +316,32 @@ let test_write_ahead_rule () =
      exactly at the commit record still recovers the transaction. *)
   let wal = Wal.create () in
   let d = make wal in
-  ignore (Durable.invoke d Tid.a (deposit_inv 5));
-  Durable.commit d Tid.a;
+  let a = DD.begin_txn d in
+  ignore (DD.invoke d a ~obj:"BA" (deposit_inv 5));
+  (match DD.try_commit_nowait d a with
+  | Ok lsn -> Helpers.check_int "commit record is the newest append" (Wal.length wal) lsn
+  | Error _ -> Alcotest.fail "A failed to commit");
   let n = Wal.length wal in
   let committed, _ = Wal.replay (Wal.records (Wal.prefix wal n)) in
   Alcotest.check Helpers.ops "durable at commit record" [ BA.deposit 5 ] committed
 
 (* Crash injection: drive a random multi-transaction workload through a
-   durable object, then recover from *every* prefix of the log and check
-   (a) replay legality, (b) the committed set matches the commit records
-   in the prefix, (c) recovery is idempotent. *)
+   durable database, then recover from *every* prefix of the log and
+   check (a) replay legality, (b) the committed set matches the commit
+   records in the prefix, (c) recovery is idempotent. *)
 let crash_injection recovery seed =
   let wal = Wal.create () in
   let d = make ~recovery wal in
   let rng = Random.State.make [| seed |] in
   let active = ref [] in
-  let next = ref 0 in
   for _ = 1 to 60 do
-    if List.length !active < 4 then begin
-      let t = Tid.of_int !next in
-      incr next;
-      active := t :: !active
-    end;
+    if List.length !active < 4 then active := DD.begin_txn d :: !active;
     match !active with
     | [] -> ()
     | ts -> (
         let t = List.nth ts (Random.State.int rng (List.length ts)) in
         let finish f =
-          f d t;
+          f t;
           active := List.filter (fun x -> not (Tid.equal x t)) !active
         in
         match Random.State.int rng 10 with
@@ -349,10 +352,10 @@ let crash_injection recovery seed =
               | 1 -> withdraw_inv (1 + Random.State.int rng 2)
               | _ -> balance_inv
             in
-            ignore (Durable.invoke d t inv)
-        | 6 | 7 -> finish Durable.commit
-        | 8 -> finish Durable.abort
-        | _ -> if Random.State.int rng 4 = 0 then Durable.checkpoint d)
+            ignore (DD.invoke d t ~obj:"BA" inv)
+        | 6 | 7 -> finish (fun t -> ignore (DD.try_commit d t))
+        | 8 -> finish (DD.abort d)
+        | _ -> if Random.State.int rng 4 = 0 then DD.checkpoint d)
   done;
   let full = Wal.records wal in
   for cut = 0 to List.length full do
@@ -376,14 +379,12 @@ let crash_injection recovery seed =
       (List.length distinct_committed_txns);
     (* (c) idempotence: recovering twice equals recovering once *)
     let r1, _ =
-      recover_exn
-        (Durable.recover ~spec:BA.spec ~conflict:BA.nrbc_conflict
-           ~recovery:Recovery.UIP log)
+      recover_exn (DD.recover ~wal:log ~rebuild:(rebuild_ba ~recovery) ())
     in
     Helpers.check_bool
       (Fmt.str "prefix %d recovered state matches replay" cut)
       true
-      (List.equal Op.equal (Durable.committed_ops r1) committed)
+      (List.equal Op.equal (committed_ops r1) committed)
   done
 
 let test_crash_injection_uip () = crash_injection Recovery.UIP 101
@@ -401,7 +402,6 @@ let test_durable_database_atomic_commitment () =
           ~spec:(Spec.rename funded (Fmt.str "BA%d" i))
           ~conflict:BA.nrbc_conflict ~recovery:Recovery.UIP ())
   in
-  let module DD = Tm_engine.Durable_database in
   let db = DD.create ~wal (rebuild ()) in
   (* transfer 30 from BA0 to BA1, committed *)
   let a = DD.begin_txn db in
@@ -440,7 +440,6 @@ let test_durable_database_validation_abort_logged () =
   let rebuild () =
     [ Atomic_object.create_optimistic ~spec ~conflict:BA.nfc_conflict ]
   in
-  let module DD = Tm_engine.Durable_database in
   let db = DD.create ~wal (rebuild ()) in
   let a = DD.begin_txn db and b = DD.begin_txn db in
   ignore (DD.invoke db a ~obj:"BA" (withdraw_inv 10));

@@ -396,7 +396,7 @@ let test_recover_with_profile () =
    intent frame — a crashed truncation must be legible forensically. *)
 let test_inspect_truncate_intent () =
   let recs, _ = sample_records () in
-  let intent = Wal.Truncate_intent { old_len = 100; new_len = 40 } in
+  let intent = Wal.Truncate_intent { at = 100; new_len = 40 } in
   let s = Wal_inspect.inspect (Wal.Codec.encode_all (recs @ [ intent ])) in
   Helpers.check_int "truncate_intent counted" 1 (kind_count s "truncate_intent");
   Alcotest.(check string) "clean" "clean"
