@@ -383,7 +383,7 @@ let hist_family reg name =
 let obs_breakdown () =
   section
     "OBS — observability breakdown: engine counters from each run's metrics \
-     registry (conflicts are lock-table hits, waits are logical blocked ticks)";
+     registry (conflicts are conflicting lock pairs, waits are logical blocked ticks)";
   Fmt.pr "%-24s %-10s %10s %8s %8s %8s %8s %8s %9s %9s@." "scenario" "setup"
     "conflicts" "blocked" "no-resp" "v-fail" "victims" "retries" "wait-avg" "wait-p99";
   let pp_opt ppf = function
@@ -564,58 +564,6 @@ let bench_disk_replay () =
     match Disk_wal.load store with
     | Ok dw -> ignore (Wal.replay (Wal.records (Disk_wal.wal dw)))
     | Error _ -> assert false
-
-(* Lock-table before/after: the pre-PR-4 association-list table
-   (inlined here as the baseline) against Lock_table's per-tid
-   hashtable index.  Same logical workload for both: 64 transactions
-   acquire 4 holds each, then each in turn is probed for blockers and
-   released. *)
-let lock_txns = 64
-let lock_ops_per_txn = 4
-
-let bench_lock_table_list () =
-  let conflict = BA.nrbc_conflict in
-  let requested = BA.withdraw_ok 1 in
-  let op = BA.deposit 1 in
-  fun () ->
-    let held = ref [] in
-    for i = 0 to lock_txns - 1 do
-      let t = Tid.of_int i in
-      for _ = 1 to lock_ops_per_txn do
-        held := (t, op) :: !held
-      done
-    done;
-    for i = 0 to lock_txns - 1 do
-      let t = Tid.of_int i in
-      ignore
-        (List.filter_map
-           (fun (holder, o) ->
-             if
-               (not (Tid.equal holder t))
-               && Conflict.conflicts conflict ~requested ~held:o
-             then Some holder
-             else None)
-           !held
-        |> List.sort_uniq Tid.compare);
-      held := List.filter (fun (h, _) -> not (Tid.equal h t)) !held
-    done
-
-let bench_lock_table_indexed () =
-  let requested = BA.withdraw_ok 1 in
-  let op = BA.deposit 1 in
-  fun () ->
-    let lt = Tm_engine.Lock_table.create BA.nrbc_conflict in
-    for i = 0 to lock_txns - 1 do
-      let t = Tid.of_int i in
-      for _ = 1 to lock_ops_per_txn do
-        Tm_engine.Lock_table.add lt t op
-      done
-    done;
-    for i = 0 to lock_txns - 1 do
-      let t = Tid.of_int i in
-      ignore (Tm_engine.Lock_table.blockers lt ~requested ~tid:t);
-      Tm_engine.Lock_table.release lt t
-    done
 
 (* Group commit: the staged commit pipeline under OS threads.  Deposits
    run through [Concurrent.create_durable] over a disk-format WAL whose
@@ -1018,10 +966,6 @@ let micro_benchmarks () =
           (Staged.stage (bench_disk_append ()));
         Test.make ~name:"WAL replay from storage (200-txn log)"
           (Staged.stage (bench_disk_replay ()));
-        Test.make ~name:"lock table 64x4 holds (list scan)"
-          (Staged.stage (bench_lock_table_list ()));
-        Test.make ~name:"lock table 64x4 holds (tid index)"
-          (Staged.stage (bench_lock_table_indexed ()));
       ]
   in
   let benchmark () =

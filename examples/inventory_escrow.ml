@@ -34,7 +34,10 @@ let () =
     Object.create ~spec:Pool.spec ~conflict:Pool.nrbc_conflict
       ~recovery:Tm_engine.Recovery.UIP ()
   in
-  let db = Database.create ~record_history:true [ stock ] in
+  let db = Database.create [ stock ] in
+  (* Record the run so its history can be checked afterwards. *)
+  let trace = Tm_obs.Trace.create () in
+  Database.set_trace db trace;
 
   (* Three customers reserve concurrently: successful reservations
      right-commute-backward with each other, so none blocks — no one had
@@ -84,7 +87,7 @@ let () =
 
   let env = Atomicity.env_of_list [ Pool.spec ] in
   Fmt.pr "@.recorded UIP history dynamic atomic: %b@."
-    (Atomicity.is_dynamic_atomic env (Database.history db));
+    (Atomicity.is_dynamic_atomic env (Tm_obs.Trace.to_history trace));
   Fmt.pr "both stores replay committed work legally: %b / %b@."
     (Spec.legal Pool.spec (Object.committed_ops stock))
     (Spec.legal Pool.spec (Object.committed_ops du_stock))

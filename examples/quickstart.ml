@@ -25,7 +25,10 @@ let () =
   let account =
     Object.create ~spec:BA.spec ~conflict:BA.nrbc_conflict ~recovery:Tm_engine.Recovery.UIP ()
   in
-  let db = Database.create ~record_history:true [ account ] in
+  let db = Database.create [ account ] in
+  (* Record the run so its history can be checked afterwards. *)
+  let trace = Tm_obs.Trace.create () in
+  Database.set_trace db trace;
 
   (* Two transactions deposit concurrently: deposits commute in every
      sense, so neither blocks. *)
@@ -58,7 +61,7 @@ let () =
 
   (* The recorded history passes the paper's correctness criterion. *)
   let env = Atomicity.env_of_list [ BA.spec ] in
-  let h = Database.history db in
+  let h = Tm_obs.Trace.to_history trace in
   Fmt.pr "@.recorded history: %d events; dynamic atomic: %b@." (History.length h)
     (Atomicity.is_dynamic_atomic env h);
   Fmt.pr "committed ops replay legally in commit order: %b@."

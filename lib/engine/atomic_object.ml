@@ -14,17 +14,12 @@ type t = {
   spec : Spec.t;
   policy : policy;
   conflict : Conflict.t;
-  locks : Lock_table.t;
   recovery : Recovery.t;
   mutable blocks : int;
   mutable metrics : Metrics.t option;
-  (* Optimistic bookkeeping: committed operations in commit order (for
-     backward validation), each transaction's ops and its start point in
-     that log. *)
-  mutable committed_rev : Op.t list;
-  mutable committed_len : int;
+  (* Optimistic bookkeeping: where the recovery manager's committed log
+     stood when each live transaction first touched this object. *)
   opt_start : (Tid.t, int) Hashtbl.t;
-  opt_ops : (Tid.t, Op.t list) Hashtbl.t;  (* newest first *)
 }
 
 type outcome =
@@ -43,14 +38,10 @@ let make ?inverse ~spec ~conflict ~policy ~recovery () =
     spec;
     policy;
     conflict;
-    locks = Lock_table.create conflict;
     recovery = Recovery.create ?inverse recovery spec;
     blocks = 0;
     metrics = None;
-    committed_rev = [];
-    committed_len = 0;
     opt_start = Hashtbl.create 16;
-    opt_ops = Hashtbl.create 16;
   }
 
 let create ?inverse ~spec ~conflict ~recovery () =
@@ -69,7 +60,6 @@ let recovery_kind t = Recovery.kind t.recovery
 
 let attach_metrics t reg =
   t.metrics <- Some reg;
-  Lock_table.attach_metrics t.locks ~obj:t.name reg;
   Recovery.attach_metrics t.recovery reg
 
 (* Per-operation counters run only on contention/failure paths (blocks,
@@ -89,17 +79,43 @@ let choose_op t ?choose inv enabled_ops =
       { Op.obj = t.name; inv; res }
   | None, [] -> assert false
 
+(* The other live transactions holding an operation that conflicts with
+   [requested] (with repeats).  Locks are implicit in the operations the
+   recovery manager keeps for each live transaction (the paper's
+   precondition (2)).  No short-circuit: every conflicting pair is counted
+   in [tm_lock_conflicts_total{obj,requested,held}], labelled by operation
+   names; an uncontended request touches no metric. *)
+let blockers t ~requested ~tid =
+  let holders = ref [] in
+  Recovery.iter_live t.recovery (fun holder held ->
+      if (not (Tid.equal holder tid)) && Conflict.conflicts t.conflict ~requested ~held
+      then begin
+        (match t.metrics with
+        | None -> ()
+        | Some reg ->
+            Metrics.Counter.incr
+              (Metrics.counter reg "tm_lock_conflicts_total"
+                 ~labels:
+                   [
+                     ("obj", t.name);
+                     ("requested", requested.Op.inv.Op.name);
+                     ("held", held.Op.inv.Op.name);
+                   ]));
+        holders := holder :: !holders
+      end);
+  !holders
+
 let invoke_locking ?choose t tid inv candidates =
   (* Result-dependent locking: find a legal response whose operation is
      not blocked; only if all legal responses are blocked does the
      transaction wait. *)
   let enabled, blocked_on =
     List.fold_left
-      (fun (enabled, blockers) res ->
+      (fun (enabled, blocked_on) res ->
         let op = { Op.obj = t.name; inv; res } in
-        match Lock_table.blockers t.locks ~requested:op ~tid with
-        | [] -> (op :: enabled, blockers)
-        | bs -> (enabled, bs @ blockers))
+        match blockers t ~requested:op ~tid with
+        | [] -> (op :: enabled, blocked_on)
+        | bs -> (enabled, bs @ blocked_on))
       ([], []) candidates
   in
   match List.rev enabled with
@@ -110,19 +126,17 @@ let invoke_locking ?choose t tid inv candidates =
   | enabled_ops ->
       let op = choose_op t ?choose inv enabled_ops in
       Recovery.record t.recovery tid op;
-      Lock_table.add t.locks tid op;
       Executed op
 
 let invoke_optimistic ?choose t tid inv candidates =
   (* No locks taken, nothing ever blocks; conflicts are paid at commit
      time (backward validation).  Remember where the committed log stood
      when the transaction first touched this object. *)
-  if not (Hashtbl.mem t.opt_start tid) then Hashtbl.add t.opt_start tid t.committed_len;
+  if not (Hashtbl.mem t.opt_start tid) then
+    Hashtbl.add t.opt_start tid (Recovery.committed_count t.recovery);
   let ops = List.map (fun res -> { Op.obj = t.name; inv; res }) candidates in
   let op = choose_op t ?choose inv ops in
   Recovery.record t.recovery tid op;
-  Hashtbl.replace t.opt_ops tid
-    (op :: Option.value (Hashtbl.find_opt t.opt_ops tid) ~default:[]);
   Executed op
 
 let invoke ?choose t tid inv =
@@ -135,11 +149,6 @@ let invoke ?choose t tid inv =
       | Locking -> invoke_locking ?choose t tid inv candidates
       | Optimistic -> invoke_optimistic ?choose t tid inv candidates)
 
-(* Operations committed after position [start], oldest first. *)
-let committed_since t start =
-  let rec take n l = if n <= 0 then [] else match l with [] -> [] | x :: r -> x :: take (n - 1) r in
-  List.rev (take (t.committed_len - start) t.committed_rev)
-
 let validate t tid =
   match t.policy with
   | Locking -> Ok ()
@@ -147,8 +156,10 @@ let validate t tid =
       match Hashtbl.find_opt t.opt_start tid with
       | None -> Ok ()  (* executed nothing here *)
       | Some start ->
-          let mine = List.rev (Option.value (Hashtbl.find_opt t.opt_ops tid) ~default:[]) in
-          let interleaved = committed_since t start in
+          (* The transaction's DU intentions against the work committed
+             since it started here. *)
+          let mine = Recovery.live_ops t.recovery tid in
+          let interleaved = Recovery.committed_since t.recovery start in
           let bad =
             List.find_map
               (fun op ->
@@ -166,35 +177,14 @@ let validate t tid =
               Error p
           | None -> Ok ()))
 
-let forget_optimistic t tid =
-  Hashtbl.remove t.opt_start tid;
-  Hashtbl.remove t.opt_ops tid
-
 let commit t tid =
-  (match Hashtbl.find_opt t.opt_ops tid with
-  | Some ops ->
-      t.committed_rev <- ops @ t.committed_rev;
-      t.committed_len <- t.committed_len + List.length ops
-  | None ->
-      (* Locking policy (or an optimistic transaction that executed
-         nothing here): the validation log is only consulted by
-         [validate], which runs solely for optimistic transactions of
-         this same object, so there is nothing to record. *)
-      ());
-  forget_optimistic t tid;
-  Recovery.commit t.recovery tid;
-  Lock_table.release t.locks tid
+  Hashtbl.remove t.opt_start tid;
+  Recovery.commit t.recovery tid
 
 let abort t tid =
-  forget_optimistic t tid;
-  Recovery.abort t.recovery tid;
-  Lock_table.release t.locks tid
+  Hashtbl.remove t.opt_start tid;
+  Recovery.abort t.recovery tid
 
 let committed_ops t = Recovery.committed_ops t.recovery
-let holds t = Lock_table.holds t.locks
 let block_count t = t.blocks
-
-let restore t ops =
-  if committed_ops t <> [] then
-    Error { Recovery.obj = t.name; reason = "restore: object not fresh" }
-  else Recovery.restore t.recovery ops
+let restore t ops = Recovery.restore t.recovery ops

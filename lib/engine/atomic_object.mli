@@ -8,12 +8,15 @@
       only if some legal response does not conflict with an operation held
       by another active transaction ({e result-dependent locking} —
       different legal responses may conflict differently, and the object
-      picks an enabled one).
+      picks an enabled one).  The held operations are the ones the
+      recovery manager keeps for each live transaction
+      ({!Recovery.iter_live}); there is no separate lock table.
     - {b Optimistic} (Section 3.4's alternative): invocations never block;
       at commit the transaction {e validates} — it aborts if any of its
       operations conflicts with an operation committed since it started
       (backward validation à la Kung–Robinson, with the same
-      commutativity-based conflict relation).  Requires deferred-update
+      commutativity-based conflict relation), reading its DU intentions
+      and the committed log's suffix ({!Recovery.committed_since}).  Requires deferred-update
       recovery: update-in-place would publish uncommitted effects. *)
 
 open Tm_core
@@ -55,13 +58,15 @@ val spec : t -> Spec.t
 val policy : t -> policy
 val recovery_kind : t -> Recovery.kind
 
-(** [attach_metrics t reg] wires the object — and its lock table and
-    recovery manager — to a metrics registry.  Adds per-operation
-    contention counters labelled [{obj; op}]: [tm_object_blocked_total],
-    [tm_object_no_response_total] and [tm_validation_failures_total],
-    plus the series documented on {!Lock_table.attach_metrics} and
-    {!Recovery.attach_metrics}.  {!Database.create} calls this for every
-    object; uncontended invocations never touch a metric. *)
+(** [attach_metrics t reg] wires the object and its recovery manager to
+    a metrics registry.  Adds per-operation contention counters labelled
+    [{obj; op}]: [tm_object_blocked_total], [tm_object_no_response_total]
+    and [tm_validation_failures_total]; counts every (requested, held)
+    pair of conflicting operations met by a locking invocation in
+    [tm_lock_conflicts_total{obj,requested,held}] (labelled by operation
+    names); plus the series documented on {!Recovery.attach_metrics}.
+    {!Database.create} calls this for every object; uncontended
+    invocations never touch a metric. *)
 val attach_metrics : t -> Tm_obs.Metrics.t -> unit
 
 (** [invoke t tid inv] attempts the invocation for [tid].  When several
@@ -91,9 +96,6 @@ val abort : t -> Tid.t -> unit
     specification must always succeed for a correctly configured object
     (the key run-time invariant checked by the test suite). *)
 val committed_ops : t -> Op.t list
-
-(** Current lock holds (for introspection and deadlock reporting). *)
-val holds : t -> (Tid.t * Op.t) list
 
 (** Number of conflict checks that came back "blocked" so far. *)
 val block_count : t -> int

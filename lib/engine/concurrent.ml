@@ -5,7 +5,7 @@ module Trace = Tm_obs.Trace
 (* Either the plain in-memory database or the write-ahead-logged one.
    The durable backend routes invoke/commit/abort through
    {!Durable_database} so operations and outcomes reach the WAL; both
-   share the same [Database.t] underneath for metrics/trace/history. *)
+   share the same [Database.t] underneath for metrics and trace. *)
 type backend = Plain | Durable of Durable_database.t
 
 type t = {
@@ -47,10 +47,10 @@ let make db backend =
     c_futile = Metrics.counter reg "tm_futile_wakeups_total";
   }
 
-let create ?record_history objs = make (Database.create ?record_history objs) Plain
+let create objs = make (Database.create objs) Plain
 
-let create_durable ?record_history ~wal objs =
-  let dd = Durable_database.create ?record_history ~wal objs in
+let create_durable ~wal objs =
+  let dd = Durable_database.create ~wal objs in
   make (Durable_database.database dd) (Durable dd)
 
 let tid h = h.tid
@@ -222,6 +222,5 @@ let deadlock_victim_count t = locked t (fun () -> Metrics.Counter.get t.c_victim
 let retry_count t = locked t (fun () -> Metrics.Counter.get t.c_retries)
 let gave_up_count t = locked t (fun () -> Metrics.Counter.get t.c_gave_up)
 let futile_wakeup_count t = locked t (fun () -> Metrics.Counter.get t.c_futile)
-let history t = locked t (fun () -> Database.history t.db)
 let database t = t.db
 let durable_database t = match t.backend with Plain -> None | Durable dd -> Some dd

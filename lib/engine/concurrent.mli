@@ -25,9 +25,9 @@ open Tm_core
 
 type t
 
-val create : ?record_history:bool -> Atomic_object.t list -> t
+val create : Atomic_object.t list -> t
 
-(** [create_durable ?record_history ~wal objs] — the same front end over
+(** [create_durable ~wal objs] — the same front end over
     a {!Durable_database}: operations, commits and aborts reach [wal],
     and commit follows the staged pipeline — validate / append / apply
     under the monitor, then park on the flushed-LSN watermark {e
@@ -35,7 +35,7 @@ val create : ?record_history:bool -> Atomic_object.t list -> t
     group-commit batch fsyncs ({!Durable_database.try_commit_nowait} /
     {!Durable_database.wait_durable}).  [with_txn] acknowledges [Ok]
     only after the transaction's commit record is durable. *)
-val create_durable : ?record_history:bool -> wal:Wal.t -> Atomic_object.t list -> t
+val create_durable : wal:Wal.t -> Atomic_object.t list -> t
 
 (** A handle on a running transaction; only valid within the callback of
     {!with_txn} and on the thread that owns it. *)
@@ -100,9 +100,6 @@ val gave_up_count : t -> int
     ([tm_futile_wakeups_total]) — the price of the monitor's broadcast
     discipline. *)
 val futile_wakeup_count : t -> int
-
-(** The recorded global history (empty unless [record_history]). *)
-val history : t -> History.t
 
 val database : t -> Database.t
 

@@ -2,17 +2,11 @@ open Tm_core
 module Metrics = Tm_obs.Metrics
 module Trace = Tm_obs.Trace
 
-type txn_status =
-  | Running
-  | Committed
-  | Aborted
-
 type t = {
   mutable objs : (string * Atomic_object.t) list;
-  record_history : bool;
-  mutable events : Event.t list;  (* newest first *)
-  status : (Tid.t, txn_status) Hashtbl.t;
-  touched : (Tid.t, string list) Hashtbl.t;
+  (* Running transactions only, each with the objects it has executed at
+     (newest first); a finished transaction leaves no entry. *)
+  running : (Tid.t, string list) Hashtbl.t;
   waits : Deadlock.t;
   mutable next_tid : int;
   (* Observability.  The registry always exists — counters are plain
@@ -34,16 +28,13 @@ type t = {
 
 let attach o reg = Atomic_object.attach_metrics o reg
 
-let create ?(record_history = false) ?(first_tid = 0) objs =
+let create ?(first_tid = 0) objs =
   if first_tid < 0 then invalid_arg "Database.create: negative first_tid";
   let metrics = Metrics.create () in
   List.iter (fun o -> attach o metrics) objs;
   {
     objs = List.map (fun o -> (Atomic_object.name o, o)) objs;
-    record_history;
-    events = [];
-    status = Hashtbl.create 64;
-    touched = Hashtbl.create 64;
+    running = Hashtbl.create 64;
     waits = Deadlock.create ();
     next_tid = first_tid;
     metrics;
@@ -81,7 +72,7 @@ let emit_trace t ~tid kind =
 let begin_txn t =
   let tid = Tid.of_int t.next_tid in
   t.next_tid <- t.next_tid + 1;
-  Hashtbl.replace t.status tid Running;
+  Hashtbl.replace t.running tid [];
   Metrics.Counter.incr t.c_begins;
   emit_trace t ~tid Trace.Begin;
   tid
@@ -94,23 +85,22 @@ let adopt_txn t tid =
      never collide with a global one. *)
   let n = Tid.to_int tid in
   if n < 0 then invalid_arg "Database.adopt_txn: negative tid";
-  if Hashtbl.mem t.status tid then
+  if Hashtbl.mem t.running tid then
     invalid_arg (Fmt.str "Database.adopt_txn: %a already known" Tid.pp tid);
   t.next_tid <- max t.next_tid (n + 1);
-  Hashtbl.replace t.status tid Running;
+  Hashtbl.replace t.running tid [];
   Metrics.Counter.incr t.c_begins;
   emit_trace t ~tid Trace.Begin
 
+(* Every id below the allocator's position was issued here or adopted,
+   so one that is not running has finished. *)
 let check_running t tid =
-  match Hashtbl.find_opt t.status tid with
-  | Some Running -> ()
-  | Some Committed | Some Aborted ->
+  if not (Hashtbl.mem t.running tid) then
+    if Tid.to_int tid < t.next_tid then
       invalid_arg (Fmt.str "Database: transaction %a already finished" Tid.pp tid)
-  | None -> invalid_arg (Fmt.str "Database: unknown transaction %a" Tid.pp tid)
+    else invalid_arg (Fmt.str "Database: unknown transaction %a" Tid.pp tid)
 
-let push_event t e = if t.record_history then t.events <- e :: t.events
-
-let touched_objs t tid = Option.value (Hashtbl.find_opt t.touched tid) ~default:[]
+let touched t tid = Option.value (Hashtbl.find_opt t.running tid) ~default:[]
 
 (* A transaction executing after an earlier block has been woken: record
    how long (in attempt ticks) it waited, per object. *)
@@ -137,10 +127,8 @@ let invoke ?choose t tid ~obj inv =
       Metrics.Counter.incr t.c_executed;
       note_woken t tid;
       emit_trace t ~tid (Trace.Executed { op });
-      push_event t (Event.invoke ~obj ~tid inv);
-      push_event t (Event.respond ~obj ~tid op.Op.res);
-      let objs = touched_objs t tid in
-      if not (List.mem obj objs) then Hashtbl.replace t.touched tid (obj :: objs)
+      let objs = touched t tid in
+      if not (List.mem obj objs) then Hashtbl.replace t.running tid (obj :: objs)
   | Atomic_object.Blocked holders ->
       Metrics.Counter.incr t.c_blocked;
       if not (Hashtbl.mem t.blocked_since tid) then
@@ -152,29 +140,24 @@ let invoke ?choose t tid ~obj inv =
       emit_trace t ~tid (Trace.No_response { obj; inv }));
   outcome
 
-let finish t tid status per_object =
+let finish t tid per_object =
   check_running t tid;
   List.iter
     (fun obj ->
       per_object (find_object t obj) tid;
-      emit_trace t ~tid (Trace.Lock_release { obj });
-      push_event t
-        (match status with
-        | Committed -> Event.commit ~obj ~tid
-        | Running | Aborted -> Event.abort ~obj ~tid))
-    (List.rev (touched_objs t tid));
-  Hashtbl.replace t.status tid status;
-  Hashtbl.remove t.touched tid;
+      emit_trace t ~tid (Trace.Lock_release { obj }))
+    (List.rev (touched t tid));
+  Hashtbl.remove t.running tid;
   Hashtbl.remove t.blocked_since tid;
   Deadlock.clear t.waits tid
 
 let commit t tid =
-  finish t tid Committed Atomic_object.commit;
+  finish t tid Atomic_object.commit;
   Metrics.Counter.incr t.c_committed;
   emit_trace t ~tid Trace.Commit
 
 let abort t tid =
-  finish t tid Aborted Atomic_object.abort;
+  finish t tid Atomic_object.abort;
   Metrics.Counter.incr t.c_aborted;
   emit_trace t ~tid Trace.Abort
 
@@ -182,7 +165,7 @@ let try_commit t tid =
   check_running t tid;
   (* Two-phase: validate at every touched object, then commit at all of
      them; a single validation failure aborts everywhere. *)
-  let objs = List.rev (touched_objs t tid) in
+  let objs = List.rev (touched t tid) in
   let validated =
     t.trace <> None
     && List.exists
@@ -209,7 +192,6 @@ let try_commit t tid =
       (match e with Some x -> Error x | None -> assert false)
 
 let deadlock t = Deadlock.find_cycle t.waits
-let history t = History.of_events (List.rev t.events)
 let committed_count t = Metrics.Counter.get t.c_committed
 let aborted_count t = Metrics.Counter.get t.c_aborted
 

@@ -4,25 +4,27 @@
     property — Theorem 2 — so different objects may even use different
     recovery methods and conflict relations); the database adds
     transaction bookkeeping, atomic commitment across the objects a
-    transaction touched, waits-for tracking and an optional global event
-    history for offline verification with {!Tm_core.Atomicity}.
+    transaction touched and waits-for tracking.  It keeps state for
+    running transactions only: a finished transaction leaves no entry.
 
     Every database owns a {!Tm_obs.Metrics} registry: transaction counts
     are backed by it ({!committed_count} reads a counter) and every
     managed object is attached to it at {!create}/{!add_object} time.  A
     {!Tm_obs.Trace} recorder can additionally be attached with
     {!set_trace}; without one, tracing costs a single branch per event
-    site. *)
+    site.  The global event history for offline verification with
+    {!Tm_core.Atomicity} is rebuilt from such a trace by
+    {!Tm_obs.Trace.to_history}. *)
 
 open Tm_core
 
 type t
 
-(** [create ?record_history ?first_tid objs] — [first_tid] (default 0)
+(** [create ?first_tid objs] — [first_tid] (default 0)
     seeds the transaction-id allocator; recovery passes the WAL's tid
     high-water mark so post-crash transactions never reuse an id that may
     still appear in the log. *)
-val create : ?record_history:bool -> ?first_tid:int -> Atomic_object.t list -> t
+val create : ?first_tid:int -> Atomic_object.t list -> t
 val add_object : t -> Atomic_object.t -> unit
 val objects : t -> Atomic_object.t list
 val find_object : t -> string -> Atomic_object.t
@@ -54,12 +56,15 @@ val begin_txn : t -> Tid.t
     as running here and bumps the local allocator above it — how each
     shard's database joins a transaction whose id was issued by
     {!Sharded_database}'s global allocator.  Raises [Invalid_argument]
-    if [tid] is negative or already known to this database. *)
+    if [tid] is negative or already running here; since finished
+    transactions are forgotten, only a duplicate that is still running
+    is caught. *)
 val adopt_txn : t -> Tid.t -> unit
 
 (** [invoke t tid ~obj inv] — attempt an operation; records the waits-for
     edges on [Blocked].  Raises [Invalid_argument] for an unknown object
-    or a transaction that already finished. *)
+    or a transaction that is not running (one whose id is below
+    {!next_tid} is reported as already finished). *)
 val invoke :
   ?choose:(Value.t list -> Value.t) ->
   t ->
@@ -84,8 +89,10 @@ val try_commit : t -> Tid.t -> (unit, string * Op.t * Op.t) result
 (** [deadlock t] — current waits-for cycle, if any. *)
 val deadlock : t -> Tid.t list option
 
-(** The global event history (empty unless [record_history] was set). *)
-val history : t -> History.t
+(** [touched t tid] — the objects the running transaction [tid] has
+    executed at, most recent first (empty if none, or if [tid] is not
+    running). *)
+val touched : t -> Tid.t -> string list
 
 (** Committed transactions count / aborted count (read from the
     [tm_txn_committed_total] / [tm_txn_aborted_total] registry

@@ -5,13 +5,12 @@ module Trace = Tm_obs.Trace
 type t = {
   db : Database.t;
   wal : Wal.t;
-  begun : (Tid.t, unit) Hashtbl.t;
 }
 
-let create ?record_history ?first_tid ~wal objs =
-  let db = Database.create ?record_history ?first_tid objs in
+let create ?first_tid ~wal objs =
+  let db = Database.create ?first_tid objs in
   Wal.attach_metrics wal (Database.metrics db);
-  { db; wal; begun = Hashtbl.create 16 }
+  { db; wal }
 
 let database t = t.db
 let begin_txn t = Database.begin_txn t.db
@@ -20,14 +19,16 @@ let log t tid r =
   Wal.append t.wal r;
   Database.emit_trace t.db ~tid (Trace.Wal_append { record = Wal.record_kind r })
 
+(* A transaction has logged its Begin exactly when it has executed at
+   some object, which the database's touched set records. *)
+let logged_begin t tid = Database.touched t.db tid <> []
+
 let invoke ?choose t tid ~obj inv =
+  let first = not (logged_begin t tid) in
   let outcome = Database.invoke ?choose t.db tid ~obj inv in
   (match outcome with
   | Atomic_object.Executed op ->
-      if not (Hashtbl.mem t.begun tid) then begin
-        Hashtbl.add t.begun tid ();
-        log t tid (Wal.Begin tid)
-      end;
+      if first then log t tid (Wal.Begin tid);
       log t tid (Wal.Operation (tid, op))
   | Atomic_object.Blocked _ | Atomic_object.No_response -> ());
   outcome
@@ -61,11 +62,7 @@ let validate_all t tid =
 (* Only transactions that logged a Begin have anything to undo in the
    log; an Abort for an unlogged transaction would be noise (and
    inflate tm_wal_appends_total{kind="abort"}). *)
-let log_abort_if_begun t tid =
-  if Hashtbl.mem t.begun tid then begin
-    log t tid (Wal.Abort tid);
-    Hashtbl.remove t.begun tid
-  end
+let log_abort_if_begun t tid = if logged_begin t tid then log t tid (Wal.Abort tid)
 
 let try_commit_nowait t tid =
   (* Stage 1 of the commit pipeline: validate first (nothing logged on
@@ -86,7 +83,6 @@ let try_commit_nowait t tid =
   | None ->
       log t tid (Wal.Commit tid);
       let lsn = Wal.last_lsn t.wal in
-      Hashtbl.remove t.begun tid;
       Database.commit t.db tid;
       Ok lsn
 
@@ -122,7 +118,6 @@ let finish_prepared t tid ~commit =
   if commit then begin
     log t tid (Wal.Commit tid);
     let lsn = Wal.last_lsn t.wal in
-    Hashtbl.remove t.begun tid;
     Database.commit t.db tid;
     lsn
   end
@@ -152,10 +147,7 @@ let flush t =
   emit_system t.db Trace.Wal_force
 
 let abort t tid =
-  if Hashtbl.mem t.begun tid then begin
-    log t tid (Wal.Abort tid);
-    Hashtbl.remove t.begun tid
-  end;
+  log_abort_if_begun t tid;
   Database.abort t.db tid
 
 let recover ?trace ?profile ~wal ~rebuild () =

@@ -13,12 +13,10 @@ open Tm_core
 
 type t
 
-(** [create ?record_history ?first_tid ~wal objs] — [record_history]
-    and [first_tid] are passed through to {!Database.create}
-    ([first_tid] seeds the transaction-id allocator; {!recover} passes
-    the log's tid high-water mark). *)
-val create :
-  ?record_history:bool -> ?first_tid:int -> wal:Wal.t -> Atomic_object.t list -> t
+(** [create ?first_tid ~wal objs] — [first_tid] is passed through to
+    {!Database.create} (it seeds the transaction-id allocator; {!recover}
+    passes the log's tid high-water mark). *)
+val create : ?first_tid:int -> wal:Wal.t -> Atomic_object.t list -> t
 val database : t -> Database.t
 val begin_txn : t -> Tid.t
 

@@ -25,17 +25,28 @@ type error = {
 
 let pp_error ppf e = Fmt.pf ppf "%s: %s" e.obj e.reason
 
+(* Commit-order log of committed operations, newest first, with its
+   length so a suffix ([committed_since]) costs only its own size. *)
+type committed = {
+  mutable rev : Op.t list;
+  mutable len : int;
+}
+
 (* The spec's state type is abstract; each manager is a record of closures
-   built in a scope where the module is unpacked. *)
+   built in a scope where the module is unpacked, plus the two stores every
+   manager keeps: each live transaction's operations (newest first) and
+   the committed log. *)
 type t = {
   kind : kind;
+  obj : string;
   responses : Tid.t -> Op.invocation -> Value.t list;
   record : Tid.t -> Op.t -> unit;
   commit : Tid.t -> unit;
   abort : Tid.t -> unit;
-  restore : Op.t list -> (unit, error) result;
-  committed_ops : unit -> Op.t list;
+  install : Op.t list -> bool;
   set_metrics : Metrics.t -> unit;
+  live : (Tid.t, Op.t list) Hashtbl.t;
+  committed : committed;
 }
 
 let kind t = t.kind
@@ -43,9 +54,35 @@ let responses t = t.responses
 let record t = t.record
 let commit t = t.commit
 let abort t = t.abort
-let restore t = t.restore
-let committed_ops t = t.committed_ops ()
 let attach_metrics t reg = t.set_metrics reg
+let committed_ops t = List.rev t.committed.rev
+let committed_count t = t.committed.len
+
+let committed_since t n =
+  let rec take k l = if k <= 0 then [] else match l with [] -> [] | x :: r -> x :: take (k - 1) r in
+  List.rev (take (t.committed.len - n) t.committed.rev)
+
+let live_ops t tid = List.rev (Option.value (Hashtbl.find_opt t.live tid) ~default:[])
+let iter_live t f = Hashtbl.iter (fun tid ops -> List.iter (f tid) ops) t.live
+
+let restore t ops =
+  let kind = match t.kind with UIP -> "UIP" | DU -> "DU" in
+  if Hashtbl.length t.live > 0 || t.committed.len > 0 then
+    Error { obj = t.obj; reason = Fmt.str "restore(%s): manager not fresh" kind }
+  else if not (t.install ops) then
+    Error { obj = t.obj; reason = Fmt.str "restore(%s): replayed sequence not legal" kind }
+  else begin
+    t.committed.rev <- List.rev ops;
+    t.committed.len <- List.length ops;
+    Ok ()
+  end
+
+(* Move a finished transaction's operations (newest first) from the live
+   window to the end of the committed log. *)
+let commit_ops committed live tid mine =
+  committed.rev <- mine @ committed.rev;
+  committed.len <- committed.len + List.length mine;
+  Hashtbl.remove live tid
 
 (* Per-object undo/redo accounting; every call is on a commit/abort path,
    never per recorded operation. *)
@@ -66,27 +103,28 @@ let create_uip ?inverse (Spec.Packed (module S) as spec) : t =
   let module E = Explore.Make (S) in
   let obj = Spec.name spec in
   let meta = ref None in
+  let origin = ref E.initial_set in
   let current = ref E.initial_set in
-  (* Execution-order log of operations by non-aborted transactions; the
-     current state-set always equals the initial set stepped through it. *)
+  (* Execution-order log of operations by non-aborted transactions, each
+     tagged with its transaction; the current state-set always equals the
+     origin (the initial set, or the restored state) stepped through it. *)
   let log = ref [] (* newest first *) in
-  let per_txn : (Tid.t, Op.t list) Hashtbl.t = Hashtbl.create 16 in
-  let committed_log = ref [] (* newest first *) in
-  let txn_ops tid = Option.value (Hashtbl.find_opt per_txn tid) ~default:[] in
+  let live : (Tid.t, Op.t list) Hashtbl.t = Hashtbl.create 16 in
+  let committed = { rev = []; len = 0 } in
+  let txn_ops tid = Option.value (Hashtbl.find_opt live tid) ~default:[] in
   let responses _tid inv = candidate_responses (module S) (E.States.elements !current) inv in
   let record tid op =
     let next = E.step !current op in
     if E.States.is_empty next then
       invalid_arg (Fmt.str "Recovery.record(UIP): illegal operation %a" Op.pp op);
     current := next;
-    log := op :: !log;
-    Hashtbl.replace per_txn tid (op :: txn_ops tid)
+    log := (tid, op) :: !log;
+    Hashtbl.replace live tid (op :: txn_ops tid)
   in
   let commit tid =
     let mine = txn_ops tid in
     count_ops meta "tm_recovery_committed_ops_total" ~obj ~mode:None (List.length mine);
-    committed_log := mine @ !committed_log;
-    Hashtbl.remove per_txn tid
+    commit_ops committed live tid mine
   in
   (* Undo by compensation: apply the inverses of the transaction's
      operations, newest first, at the current end of the log.  Only used
@@ -106,9 +144,9 @@ let create_uip ?inverse (Spec.Packed (module S) as spec) : t =
   in
   let abort tid =
     let mine = txn_ops tid in
-    Hashtbl.remove per_txn tid;
-    log := List.filter (fun op -> not (List.memq op mine)) !log;
-    let replayed () = E.after E.initial_set (List.rev !log) in
+    Hashtbl.remove live tid;
+    log := List.filter (fun (t, _) -> not (Tid.equal t tid)) !log;
+    let replayed () = E.after !origin (List.rev_map snd !log) in
     let undone mode =
       count_ops meta "tm_recovery_undone_ops_total" ~obj ~mode:(Some mode)
         (List.length mine)
@@ -131,26 +169,19 @@ let create_uip ?inverse (Spec.Packed (module S) as spec) : t =
         end
   in
   (* Install an already-committed sequence into a fresh manager: replayed
-     work belongs to no live transaction, so it goes straight into the
-     log and committed log (no per-transaction bookkeeping, no tid). *)
-  let restore ops =
-    if !log <> [] || !committed_log <> [] || Hashtbl.length per_txn > 0 then
-      Error { obj; reason = "restore(UIP): manager not fresh" }
-    else begin
-      let next = E.after E.initial_set ops in
-      if ops <> [] && E.States.is_empty next then
-        Error { obj; reason = "restore(UIP): replayed sequence not legal" }
-      else begin
-        current := next;
-        log := List.rev ops;
-        committed_log := List.rev ops;
-        Ok ()
-      end
-    end
+     work belongs to no live transaction and can never be undone, so it
+     becomes the origin that abort replays the log from. *)
+  let install ops =
+    let next = E.after E.initial_set ops in
+    let legal = ops = [] || not (E.States.is_empty next) in
+    if legal then begin
+      origin := next;
+      current := next
+    end;
+    legal
   in
-  let committed_ops () = List.rev !committed_log in
   let set_metrics reg = meta := Some reg in
-  { kind = UIP; responses; record; commit; abort; restore; committed_ops; set_metrics }
+  { kind = UIP; obj; responses; record; commit; abort; install; set_metrics; live; committed }
 
 let create_du (Spec.Packed (module S) as spec) : t =
   let module E = Explore.Make (S) in
@@ -158,7 +189,7 @@ let create_du (Spec.Packed (module S) as spec) : t =
   let meta = ref None in
   let base = ref E.initial_set in
   let intentions : (Tid.t, Op.t list) Hashtbl.t = Hashtbl.create 16 in
-  let committed_log = ref [] (* newest first *) in
+  let committed = { rev = []; len = 0 } in
   let txn_ops tid = Option.value (Hashtbl.find_opt intentions tid) ~default:[] in
   (* A transaction's view is base (committed, in commit order) plus its own
      intentions — recomputed per call because the base advances whenever
@@ -171,7 +202,8 @@ let create_du (Spec.Packed (module S) as spec) : t =
     Hashtbl.replace intentions tid (op :: txn_ops tid)
   in
   let commit tid =
-    let ops = List.rev (txn_ops tid) in
+    let mine = txn_ops tid in
+    let ops = List.rev mine in
     let next = E.after !base ops in
     if ops <> [] && E.States.is_empty next then
       invalid_arg
@@ -181,31 +213,24 @@ let create_du (Spec.Packed (module S) as spec) : t =
            Tid.pp tid);
     base := next;
     count_ops meta "tm_recovery_committed_ops_total" ~obj ~mode:None (List.length ops);
-    committed_log := txn_ops tid @ !committed_log;
-    Hashtbl.remove intentions tid
+    commit_ops committed intentions tid mine
   in
   let abort tid =
     count_ops meta "tm_recovery_discarded_ops_total" ~obj ~mode:None
       (List.length (txn_ops tid));
     Hashtbl.remove intentions tid
   in
-  let restore ops =
-    if !committed_log <> [] || Hashtbl.length intentions > 0 then
-      Error { obj; reason = "restore(DU): manager not fresh" }
-    else begin
-      let next = E.after E.initial_set ops in
-      if ops <> [] && E.States.is_empty next then
-        Error { obj; reason = "restore(DU): replayed sequence not legal" }
-      else begin
-        base := next;
-        committed_log := List.rev ops;
-        Ok ()
-      end
-    end
+  let install ops =
+    let next = E.after E.initial_set ops in
+    let legal = ops = [] || not (E.States.is_empty next) in
+    if legal then base := next;
+    legal
   in
-  let committed_ops () = List.rev !committed_log in
   let set_metrics reg = meta := Some reg in
-  { kind = DU; responses; record; commit; abort; restore; committed_ops; set_metrics }
+  {
+    kind = DU; obj; responses; record; commit; abort; install; set_metrics;
+    live = intentions; committed;
+  }
 
 let create ?inverse kind spec =
   match kind with

@@ -16,9 +16,12 @@
       its own intentions, exactly [DU(H,A)].  Abort discards the
       intentions; commit applies them to the base in commit order.
 
-    A manager only answers {e which responses are legal}; conflict
-    checking lives in {!Lock_table} and the two are combined by
-    {!Atomic_object}. *)
+    A manager is the object's only record of each live transaction's
+    operations (the UIP per-transaction logs, the DU intentions lists).
+    Locks are implicit in that record, as in the paper's model (Section
+    4): {!Atomic_object} reads it through {!iter_live} to find the holders
+    of conflicting operations, and through {!live_ops} and
+    {!committed_since} for optimistic validation. *)
 
 open Tm_core
 
@@ -72,16 +75,33 @@ val pp_error : Format.formatter -> error -> unit
 
 (** [restore t ops] installs [ops] (a commit-order sequence, e.g. the
     outcome of {!Wal.replay}) into a {e fresh} manager as
-    already-committed work: UIP seeds its log and current state, DU its
-    committed base.  Replayed work belongs to no live transaction, so no
+    already-committed work: UIP seeds its current state and the state
+    its aborts replay from, DU its committed base.  Replayed work belongs to no live transaction, so no
     transaction id is involved.  [Error] if the manager is not fresh or
     the sequence is not legal. *)
 val restore : t -> Op.t list -> (unit, error) result
 
-(** Operations executed by non-aborted transactions, in execution order
-    (UIP) — or committed operations in commit order followed by nothing
-    (DU base).  Exposed for verification in tests. *)
+(** Committed operations in commit order, starting with any restored
+    ones.  Exposed for verification in tests. *)
 val committed_ops : t -> Op.t list
+
+(** The length of {!committed_ops}. *)
+val committed_count : t -> int
+
+(** [committed_since t n] is {!committed_ops} without its first [n]
+    operations: the work committed after the log had length [n] (a
+    position read from {!committed_count}).  Costs the suffix's length. *)
+val committed_since : t -> int -> Op.t list
+
+(** {1 The live window} *)
+
+(** [live_ops t tid] is every operation [tid] has recorded and not yet
+    committed or aborted, oldest first (empty if none). *)
+val live_ops : t -> Tid.t -> Op.t list
+
+(** [iter_live t f] applies [f tid op] to every operation [op] of every
+    live transaction [tid], in no particular order. *)
+val iter_live : t -> (Tid.t -> Op.t -> unit) -> unit
 
 (** [attach_metrics t reg] makes the manager count recovery work in
     [reg], labelled by the object (spec) name: committed operations

@@ -1,5 +1,5 @@
 (** One shard of a {!Sharded_database}: a complete single-shard durable
-    engine — its own {!Durable_database} (lock tables, atomic objects),
+    engine — its own {!Durable_database} (atomic objects and their locks),
     its own {!Wal} (and therefore its own group-commit flusher), and the
     mutex that serialises engine calls into it.  A shard knows nothing
     about the others; all cross-shard coordination lives in

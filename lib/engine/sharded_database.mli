@@ -2,7 +2,7 @@
     cross-shard two-phase commit.
 
     Each shard is a complete single-shard engine ({!Shard}): its own
-    lock tables and atomic objects, its own WAL (stamped with the
+    atomic objects (and so its own locks), its own WAL (stamped with the
     shard's id in every v2 frame when disk-backed — see {!Disk_wal}),
     and its own group-commit flusher.  A router hashes object name to
     home shard ({!home_shard}), so a transaction that touches one shard

@@ -2,7 +2,7 @@
 
     The engine counts every blocking conflict pair as
     [tm_lock_conflicts_total{obj,requested,held}] (see
-    [Lock_table.attach_metrics]).  This module folds those counters into
+    [Atomic_object.attach_metrics]).  This module folds those counters into
     one matrix per series group — an object, plus whatever extra labels
     the snapshot carries ([scenario], [setup], ...) — and pairs matrices
     across a chosen label so UIP(NRBC) and DU(NFC) runs of the same

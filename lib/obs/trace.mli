@@ -109,7 +109,7 @@ val parse_jsonl :
 (** [to_history t] reconstructs the global event history of the traced
     run: each [Executed] operation contributes its invocation/response
     pair, and [Commit]/[Abort] expand into per-object completion events
-    for exactly the objects the transaction executed at (mirroring
-    [Database]'s own history recording).  The result can be fed to
+    for exactly the objects the transaction executed at (the engine's
+    atomic commitment).  The result can be fed to
     {!Tm_core.Atomicity.is_online_dynamic_atomic}. *)
 val to_history : t -> History.t

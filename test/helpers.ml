@@ -51,6 +51,18 @@ let section5_history =
 
 let ba_env = Atomicity.env_of_list [ BA.spec ]
 
+(* Engine runs are checked offline from a trace: [traced db] attaches a
+   recorder, and [recorded_history db] rebuilds the run's global history
+   from it. *)
+let traced db =
+  Tm_engine.Database.set_trace db (Tm_obs.Trace.create ());
+  db
+
+let recorded_history db =
+  match Tm_engine.Database.trace db with
+  | Some tr -> Tm_obs.Trace.to_history tr
+  | None -> invalid_arg "recorded_history: no trace attached"
+
 (* qcheck generator for random bank-account operations (drawn from the
    spec's generator alphabet). *)
 let ba_op_gen =

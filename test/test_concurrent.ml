@@ -13,14 +13,14 @@ let deposit i = Op.invocation ~args:[ Value.int i ] "deposit"
 let withdraw i = Op.invocation ~args:[ Value.int i ] "withdraw"
 let balance = Op.invocation "balance"
 
-let make_db ?(recovery = Tm_engine.Recovery.UIP) ?(initial = 0) ?record_history () =
+let make_db ?(recovery = Tm_engine.Recovery.UIP) ?(initial = 0) () =
   let conflict =
     match recovery with
     | Tm_engine.Recovery.UIP -> BA.nrbc_conflict
     | Tm_engine.Recovery.DU -> BA.nfc_conflict
   in
   let spec = if initial = 0 then BA.spec else BA.spec_with_initial initial in
-  (Concurrent.create ?record_history
+  (Concurrent.create
      [ Atomic_object.create ~spec ~conflict ~recovery () ],
    spec)
 
@@ -141,7 +141,8 @@ let test_occ_threads () =
     (List.for_all (fun o -> Spec.legal spec (Atomic_object.committed_ops o)) objs)
 
 let test_recorded_history_dynamic_atomic () =
-  let db, spec = make_db ~recovery:Tm_engine.Recovery.DU ~initial:10 ~record_history:true () in
+  let db, spec = make_db ~recovery:Tm_engine.Recovery.DU ~initial:10 () in
+  ignore (Helpers.traced (Concurrent.database db));
   run_threads 3 (fun i ->
       match
         Concurrent.with_txn ~max_attempts:1000 db (fun h ->
@@ -151,7 +152,7 @@ let test_recorded_history_dynamic_atomic () =
       | Error (`Gave_up _) -> ());
   let env = Atomicity.env_of_list [ spec ] in
   Helpers.check_bool "dynamic atomic" true
-    (Atomicity.is_dynamic_atomic env (Concurrent.history db))
+    (Atomicity.is_dynamic_atomic env (Helpers.recorded_history (Concurrent.database db)))
 
 (* --- the staged commit pipeline under OS threads --- *)
 

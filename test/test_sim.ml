@@ -130,7 +130,12 @@ let test_mixed_recovery_locality () =
   in
   Helpers.check_bool "mixed-recovery run consistent" true row.Experiment.consistent;
   (* small run with recorded history, checked by the global checker *)
-  let db = Tm_engine.Database.create ~record_history:true (scenario.Experiment.build (Experiment.setup Tm_engine.Recovery.UIP Experiment.Semantic)) in
+  let db =
+    Helpers.traced
+      (Tm_engine.Database.create
+         (scenario.Experiment.build
+            (Experiment.setup Tm_engine.Recovery.UIP Experiment.Semantic)))
+  in
   let small = Scheduler.config ~concurrency:3 ~total_txns:8 ~seed:3 ~max_rounds:5_000 () in
   ignore (Scheduler.run db scenario.Experiment.workload small);
   let funded = Tm_adt.Bank_account.spec_with_initial 100_000 in
@@ -139,7 +144,7 @@ let test_mixed_recovery_locality () =
       (List.init 4 (fun i -> Tm_core.Spec.rename funded (Fmt.str "BA%d" i)))
   in
   Helpers.check_bool "global history dynamic atomic" true
-    (Tm_core.Atomicity.is_dynamic_atomic env (Tm_engine.Database.history db))
+    (Tm_core.Atomicity.is_dynamic_atomic env (Helpers.recorded_history db))
 
 let test_scheduler_edges () =
   (* concurrency 1 = serial execution: no blocking, no aborts *)
