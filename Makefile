@@ -1,6 +1,6 @@
 # Convenience targets; `make check` is what CI runs.
 
-.PHONY: all check test bench baseline benchdiff crashtest faulttest \
+.PHONY: all check test bench abgate crashtest faulttest \
   shardtest crashcheck stresstest report shardreport walsmoke metricsdoc metricsdoc-check golden \
   walformatdoc walformatdoc-check clean
 
@@ -87,30 +87,14 @@ report:
 bench:
 	dune exec bench/main.exe
 
-# Machine-readable bench baseline: BENCH_<rev>.json with named series
-# (includes the MB-scale recovery benchmark).  Use `--quick` sizes so
-# the run stays interactive; drop it for publication numbers.
-baseline:
-	dune exec bench/main.exe -- --json --quick
-
-# Compare a fresh quick run against the checked-in baseline and GATE on
-# the serial restart and commit-rate series: a >25% move against a gated
-# series' direction fails the build.  Everything else is printed as
-# advisory only.  If a regression is
-# intentional, rerun with the documented escape hatch and refresh the
-# baseline in the same change:
-#   make benchdiff BENCHDIFF_FLAGS=--allow-regression
-#   make baseline   # then copy the BENCH_<rev>.json over bench/BASELINE.json
-BENCHDIFF_FLAGS ?=
-benchdiff:
-	dune exec bench/main.exe -- --json _report/bench.json --quick
-	dune exec bin/benchdiff.exe -- bench/BASELINE.json _report/bench.json \
-	  --tolerance 25 --gate recovery.restart.records_per_sec \
-	  --gate recovery.restart.seconds \
-	  --gate wal.group_commit.commits_per_sec \
-	  --gate sharded.commit_rate.s1.disjoint \
-	  --gate sharded.commit_rate.s4.disjoint \
-	  --gate sharded.recovery_resolution.s4 $(BENCHDIFF_FLAGS)
+# Same-host A/B gate over the repo benchmark: builds ABGATE_BASE in a git
+# worktree under .bench_build/ and alternates perfbench runs of it and
+# of the working tree; fails when an end-to-end median moves past its
+# BENCHMARK.json bound in the worse direction (see bench/abgate.py).
+ABGATE_BASE ?= HEAD
+abgate:
+	python3 bench/test_abgate.py
+	python3 bench/abgate.py $(ABGATE_BASE)
 
 # Distributed-tracing report: two traced 4-shard stress runs merged into
 # one text report and one Perfetto timeline (per-shard tracks + flow

@@ -161,10 +161,8 @@ let abort t tid =
   Metrics.Counter.incr t.c_aborted;
   emit_trace t ~tid Trace.Abort
 
-let try_commit t tid =
+let validate t tid =
   check_running t tid;
-  (* Two-phase: validate at every touched object, then commit at all of
-     them; a single validation failure aborts everywhere. *)
   let objs = List.rev (touched t tid) in
   let validated =
     t.trace <> None
@@ -183,13 +181,18 @@ let try_commit t tid =
       objs
   in
   if validated then emit_trace t ~tid (Trace.Validated { ok = failed = None });
-  match failed with
-  | None ->
+  match failed with None -> Ok () | Some x -> Error x
+
+let try_commit t tid =
+  (* Two-phase: validate at every touched object, then commit at all of
+     them; a single validation failure aborts everywhere. *)
+  match validate t tid with
+  | Ok () ->
       commit t tid;
       Ok ()
-  | Some _ as e ->
+  | Error _ as e ->
       abort t tid;
-      (match e with Some x -> Error x | None -> assert false)
+      e
 
 let deadlock t = Deadlock.find_cycle t.waits
 let committed_count t = Metrics.Counter.get t.c_committed

@@ -80,6 +80,14 @@ val commit : t -> Tid.t -> unit
 
 val abort : t -> Tid.t -> unit
 
+(** [validate t tid] runs the optimistic commit test at every object
+    the transaction touched, in first-touch order (a no-op for locking
+    objects), and returns the first conflicting object and operation
+    pair.  With a trace attached and an optimistic object among them, it
+    emits [Validating]/[Validated] spans around the test.  It neither
+    commits nor aborts. *)
+val validate : t -> Tid.t -> (unit, string * Op.t * Op.t) result
+
 (** [try_commit t tid] validates at every touched object (a no-op for
     locking objects) and commits at all of them; on a validation failure
     the transaction is aborted everywhere and the conflicting object and

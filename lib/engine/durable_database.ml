@@ -49,42 +49,37 @@ let checkpoint t =
   Wal.append t.wal (Wal.Checkpoint cp);
   emit_system t.db (Trace.Checkpoint { ops = List.length cp.Wal.committed })
 
-(* Validate at every object (a no-op for locking objects): the shared
-   first step of both the one-shot commit and the 2PC prepare. *)
-let validate_all t tid =
-  List.find_map
-    (fun o ->
-      match Atomic_object.validate o tid with
-      | Ok () -> None
-      | Error (mine, theirs) -> Some (Atomic_object.name o, mine, theirs))
-    (Database.objects t.db)
-
 (* Only transactions that logged a Begin have anything to undo in the
    log; an Abort for an unlogged transaction would be noise (and
    inflate tm_wal_appends_total{kind="abort"}). *)
 let log_abort_if_begun t tid = if logged_begin t tid then log t tid (Wal.Abort tid)
 
-let try_commit_nowait t tid =
-  (* Stage 1 of the commit pipeline: validate first (nothing logged on
-     failure), append the single commit record — fixing the
-     transaction's place in the durable commit order at every object —
-     and apply.  Durability is NOT awaited here: the caller holds
-     whatever engine lock serialises this stage and must release it
-     before parking on the watermark ({!wait_durable}), so the fsync
-     never runs under the lock.  Applying before durability is sound:
-     any transaction that reads the applied state commits {e later} in
-     the log, so a crash that loses this commit record also loses every
-     dependent one (the log's prefix property). *)
-  match validate_all t tid with
-  | Some _ as e ->
+(* Validate, then continue with [k]: the shared first step of both the
+   one-shot commit and the 2PC prepare.  A transaction that fails
+   validation is aborted here, and [k] logs nothing for it. *)
+let validate_then t tid k =
+  match Database.validate t.db tid with
+  | Ok () -> Ok (k ())
+  | Error x ->
       log_abort_if_begun t tid;
       Database.abort t.db tid;
-      (match e with Some x -> Error x | None -> assert false)
-  | None ->
+      Error x
+
+let try_commit_nowait t tid =
+  (* Stage 1 of the commit pipeline: validate, append the single commit
+     record — fixing the transaction's place in the durable commit order
+     at every object — and apply.  Durability is NOT awaited here: the
+     caller holds whatever engine lock serialises this stage and must
+     release it before parking on the watermark ({!wait_durable}), so
+     the fsync never runs under the lock.  Applying before durability is
+     sound: any transaction that reads the applied state commits {e
+     later} in the log, so a crash that loses this commit record also
+     loses every dependent one (the log's prefix property). *)
+  validate_then t tid (fun () ->
       log t tid (Wal.Commit tid);
       let lsn = Wal.last_lsn t.wal in
       Database.commit t.db tid;
-      Ok lsn
+      lsn)
 
 (* --- 2PC participant half: prepare / finish, split out of the
    one-shot path above for {!Sharded_database}. *)
@@ -98,14 +93,9 @@ let prepare t tid =
      returned LSN before voting yes.  Nothing is applied yet: the
      transaction stays live (locks held, optimistic intentions parked)
      until {!finish_prepared}. *)
-  match validate_all t tid with
-  | Some _ as e ->
-      log_abort_if_begun t tid;
-      Database.abort t.db tid;
-      (match e with Some x -> Error x | None -> assert false)
-  | None ->
+  validate_then t tid (fun () ->
       log t tid (Wal.Prepare tid);
-      Ok (Wal.last_lsn t.wal)
+      Wal.last_lsn t.wal)
 
 let finish_prepared t tid ~commit =
   (* Phase 2: the global decision is in — log the local outcome record

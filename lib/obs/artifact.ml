@@ -1,5 +1,5 @@
 (* Self-describing dump headers.  Every artifact the CLIs write — trace
-   JSONL, Prometheus metrics snapshots, bench baselines — starts with a
+   JSONL, Prometheus metrics snapshots, 2PC audits — starts with a
    small metadata record: schema name/version, the producing binary, the
    seed and any config the run used.  Readers skip it after validating
    that the file is the kind of artifact they expect, so a metrics dump
@@ -14,7 +14,6 @@ type t = {
 
 let trace_schema = "tm-trace/1"
 let metrics_schema = "tm-metrics/1"
-let bench_schema = "tm-bench/1"
 let audit_schema = "tm-2pc/1"
 let series_schema = "tm-series/1"
 

@@ -1,7 +1,7 @@
 (** Self-describing artifact headers.
 
     Every dump the CLI executables write — trace JSONL, Prometheus
-    metrics snapshots, bench baselines — carries a one-line metadata
+    metrics snapshots, 2PC audits — carries a one-line metadata
     header: the schema ("<family>/<version>"), the producing binary, the
     seed and any run configuration.  Readers validate the family (a
     metrics dump handed to the trace parser fails loudly) and then skip
@@ -18,8 +18,6 @@ type t = {
 val trace_schema : string  (** ["tm-trace/1"] *)
 
 val metrics_schema : string  (** ["tm-metrics/1"] *)
-
-val bench_schema : string  (** ["tm-bench/1"] *)
 
 val audit_schema : string
 (** ["tm-2pc/1"] — the 2PC in-doubt resolution audit trail

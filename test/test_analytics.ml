@@ -134,6 +134,28 @@ let test_timeline_tiling_occ () =
   check_bool "validation phases recorded" true
     (List.exists (fun t -> Timeline.phase_total t Timeline.Validate > 0) txns)
 
+(* A durable optimistic commit validates through the same spans as an
+   in-memory one, so its timeline has a validate phase before the
+   flush wait. *)
+let test_timeline_durable_occ_validates () =
+  let module BA = Tm_adt.Bank_account in
+  let module Dd = Tm_engine.Durable_database in
+  let o = Atomic_object.create_optimistic ~spec:BA.spec ~conflict:BA.nfc_conflict in
+  let dd = Dd.create ~wal:(Tm_engine.Wal.create ()) [ o ] in
+  let tr = Trace.create () in
+  Tm_engine.Database.set_trace (Dd.database dd) tr;
+  let tid = Dd.begin_txn dd in
+  ignore
+    (Dd.invoke dd tid ~obj:(Atomic_object.name o)
+       (Op.invocation ~args:[ Value.int 5 ] "deposit"));
+  check_bool "committed" true (Result.is_ok (Dd.try_commit dd tid));
+  match Timeline.of_events (Trace.events tr) with
+  | [ t ] ->
+      check_bool "tiles" true (Timeline.consistent t);
+      check_bool "validate phase" true (Timeline.phase_total t Timeline.Validate > 0);
+      check_bool "flush-wait phase" true (Timeline.phase_total t Timeline.Flush_wait > 0)
+  | ts -> Alcotest.failf "%d timelines, expected 1" (List.length ts)
+
 let test_timeline_tiling_durable_group_commit () =
   let row, _wal =
     Experiment.run_durable ~record_trace:true ~group_commit:4
@@ -643,6 +665,8 @@ let suite =
     Alcotest.test_case "trace jsonl bad line" `Quick test_jsonl_bad_line;
     Alcotest.test_case "timeline tiling (locking)" `Quick test_timeline_tiling_locking;
     Alcotest.test_case "timeline tiling (occ validate)" `Quick test_timeline_tiling_occ;
+    Alcotest.test_case "timeline of a durable occ commit validates" `Quick
+      test_timeline_durable_occ_validates;
     Alcotest.test_case "timeline tiling (durable, group commit)" `Quick
       test_timeline_tiling_durable_group_commit;
     Helpers.qcheck ~count:25 "durable trace replay passes the checker"
